@@ -2,21 +2,20 @@
 
 from .cases import CaseSpec, PlantedCase, generate_planted_case
 from .community import Community, conductance, extract_community
-from .expansion import Budget, TraceResult, run_expansion
+from .expansion import TraceResult, run_expansion
 from .graph import (Pattern, TransactionGraph, TransferEdge,
                     classify_patterns, ingest_records, load_graph)
 from .metrics import recall, topn_recall, tracing_depth
 from .providers import FileProvider, GraphProvider, HttpProvider
 from .runner import RunConfig, run_case_graph, run_method
-from .ttr import TraceParams, init_trace, local_push, node_residual
+from .ttr import TraceParams, init_trace, local_push
 
 __all__ = [
-    "Budget", "CaseSpec", "Community", "FileProvider", "GraphProvider",
+    "CaseSpec", "Community", "FileProvider", "GraphProvider",
     "HttpProvider", "Pattern", "PlantedCase", "RunConfig", "TraceParams",
     "TraceResult", "TransactionGraph", "TransferEdge", "classify_patterns",
-    "conductance",
-    "extract_community", "generate_planted_case", "ingest_records",
-    "init_trace", "load_graph", "local_push", "node_residual", "recall",
+    "conductance", "extract_community", "generate_planted_case",
+    "ingest_records", "init_trace", "load_graph", "local_push", "recall",
     "run_case_graph", "run_expansion", "run_method", "topn_recall",
     "tracing_depth",
 ]

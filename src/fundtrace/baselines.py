@@ -24,13 +24,6 @@ class TaintResult:
     held: dict[str, float] | None = None  # resting dirty value (haircut)
 
 
-def _induced(edges: list[TransferEdge], extra_nodes: set[str]
-             ) -> TransactionGraph:
-    sub = TransactionGraph(list(edges))
-    sub.nodes.update(extra_nodes)
-    return sub
-
-
 def bfs_trace(graph: TransactionGraph, source: str, depth: int = 2
               ) -> TransactionGraph:
     """All nodes within ``depth`` directed hops of source, with the
@@ -49,7 +42,7 @@ def bfs_trace(graph: TransactionGraph, source: str, depth: int = 2
                     visited.add(e.tgt)
                     nxt.append(e.tgt)
         frontier = nxt
-    return _induced([e for e in edges if e.tgt in visited], {source})
+    return TransactionGraph([e for e in edges if e.tgt in visited], (source,))
 
 
 def poison_trace(graph: TransactionGraph, source: str, depth: int = 2
@@ -84,7 +77,10 @@ def poison_trace(graph: TransactionGraph, source: str, depth: int = 2
             known.append(cand)
             work.append((e.tgt, cand[0], cand[1]))
     tainted = set(labels)
-    sub = _induced([e for e in edges if e.tgt in tainted], {source})
+    # A node relaxed under several labels rescans its out-edges; keep
+    # each edge once, in first-seen order.
+    sub = TransactionGraph([e for e in dict.fromkeys(edges) if e.tgt in tainted],
+                           (source,))
     return TaintResult(sub, {u: 1.0 for u in tainted})
 
 
@@ -97,7 +93,7 @@ def haircut_trace(graph: TransactionGraph, source: str,
         raise ValueError("cutoff_fraction must be in (0,1]")
     initial = sum(e.amount for e in graph.out_edges(source))
     if initial <= 0.0:
-        return TaintResult(_induced([], {source}), {source: 0.0})
+        return TaintResult(TransactionGraph([], (source,)), {source: 0.0})
     floor = cutoff_fraction * initial
     received: dict[str, float] = {source: initial}
     held: dict[str, float] = {source: initial}
@@ -127,14 +123,18 @@ def haircut_trace(graph: TransactionGraph, source: str,
                 heapq.heappush(heap, (float(e.timestamp), seq, e.tgt, share))
                 seq += 1
     taint = {u: v for u, v in received.items() if v >= floor or u == source}
-    sub = _induced([e for e in edges_used if e.tgt in taint], {source})
+    # Parcels reaching a node at different times rescan its out-edges;
+    # keep each edge once, in first-seen order.
+    sub = TransactionGraph([e for e in dict.fromkeys(edges_used) if e.tgt in taint],
+                           (source,))
     return TaintResult(sub, taint, held)
 
 
-def _index_graph(graph: TransactionGraph
+def _index_graph(graph: TransactionGraph, source: str
                  ) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """CSR over distinct out-neighbor pairs with edge multiplicity kept."""
-    nodes = sorted(graph.nodes)
+    """CSR over the graph's nodes plus source, with edge multiplicity
+    kept."""
+    nodes = sorted(graph.nodes | {source})
     idx = {u: i for i, u in enumerate(nodes)}
     indptr = np.zeros(len(nodes) + 1, dtype=np.int64)
     cols: list[int] = []
@@ -154,28 +154,11 @@ def appr_rank(graph: TransactionGraph, source: str, alpha: float = 0.15,
     a self-loop so mass stays accounted. Every residual is below epsilon
     on return.
     """
-    if source not in graph.nodes:
-        return {source: _isolated_rank(alpha, epsilon)}, {source: _isolated_residual(alpha, epsilon)}
-    nodes, indptr, indices = _index_graph(graph)
+    nodes, indptr, indices = _index_graph(graph, source)
     p, r = push_kernel(indptr, indices, alpha, epsilon, nodes.index(source))
     rank = {nodes[i]: float(p[i]) for i in np.nonzero(p)[0]}
     residual = {nodes[i]: float(r[i]) for i in np.nonzero(r)[0]}
     return rank, residual
-
-
-def _isolated_rank(alpha: float, epsilon: float) -> float:
-    p, r = 0.0, 1.0
-    while r >= epsilon:
-        p += alpha * r
-        r *= 1.0 - alpha
-    return p
-
-
-def _isolated_residual(alpha: float, epsilon: float) -> float:
-    r = 1.0
-    while r >= epsilon:
-        r *= 1.0 - alpha
-    return r
 
 
 def exact_ppr(graph: TransactionGraph, source: str, alpha: float = 0.15

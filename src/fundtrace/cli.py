@@ -65,7 +65,8 @@ def main():
 @click.option("--phi", type=float, default=None)
 @click.option("--depth", type=int, default=None)
 @click.option("--cutoff", type=float, default=None)
-@click.option("--budget", type=int, default=None)
+@click.option("--budget", type=int, default=None,
+              help="ttr: maximum number of pops (at least 1).")
 @click.option("--hub-cap", type=int, default=None)
 @click.option("--out", "out_path", default=None)
 @click.option("--format", "out_format", type=click.Choice(["json", "graphml"]),
@@ -192,7 +193,7 @@ def compare(cases_path, out_path, alpha, beta, epsilon, phi, depth, cutoff):
                             cutoff=cutoff)
             try:
                 result = run_method(case.source, GraphProvider(case.graph), cfg)
-            except (ValueError, AssertionError) as exc:
+            except (ValueError, RuntimeError) as exc:
                 report["errors"].append({"case": path.name, "method": method,
                                          "error": str(exc)})
                 continue

@@ -97,6 +97,4 @@ def extract_community(graph: TransactionGraph, rank: dict[str, float],
 def induced_subgraph(graph: TransactionGraph, members: set[str]
                      ) -> TransactionGraph:
     edges = [e for e in graph.edges if e.src in members and e.tgt in members]
-    sub = TransactionGraph(edges)
-    sub.nodes.update(members)
-    return sub
+    return TransactionGraph(edges, members)

@@ -23,17 +23,6 @@ TERM_PROVIDER_ERROR = "provider-error"
 
 
 @dataclass
-class Budget:
-    max_iterations: int | None = None
-    max_provider_calls: int | None = None
-
-    @staticmethod
-    def default_for(params: TraceParams) -> "Budget":
-        # Generous slack over the 1/(eps*alpha) pop bound.
-        return Budget(max_provider_calls=int(10.0 / (params.epsilon * params.alpha)))
-
-
-@dataclass
 class TraceResult:
     subgraph: TransactionGraph
     rank: dict[str, float]
@@ -102,31 +91,30 @@ class _EdgeCache:
 
 
 def run_expansion(source: str, provider: EdgeProvider, params: TraceParams,
-                  budget: Budget | None = None, *, hub_cap: int | None = None,
+                  max_iterations: int | None = None, *,
+                  hub_cap: int | None = None,
                   on_iteration: Callable[[dict[str, float], ResidualLedger, float], None] | None = None,
                   ) -> TraceResult:
-    """Trace from ``source`` until convergence or budget exhaustion."""
+    """Trace from ``source`` until convergence, ``max_iterations`` pops,
+    or a provider error.
+
+    Raises RuntimeError if the pop count passes the 1/(eps*alpha) bound,
+    which a correct push never does.
+    """
     params.validate()
-    if budget is None:
-        budget = Budget.default_for(params)
     rank, ledger = init_trace(source, params)
     stats = PushStats()
     cache = _EdgeCache(provider, hub_cap)
     pop_bound = math.ceil(1.0 / (params.epsilon * params.alpha))
-    subgraph = TransactionGraph([])
+    subgraph = TransactionGraph([], (source,))
     iterations = 0
-    provider_calls = 0
     termination = TERM_CONVERGED
 
     while True:
         node = pop(ledger, params.epsilon)
         if node is None:
             break
-        if budget.max_iterations is not None and iterations >= budget.max_iterations:
-            termination = TERM_BUDGET
-            break
-        if (budget.max_provider_calls is not None
-                and provider_calls >= budget.max_provider_calls):
+        if max_iterations is not None and iterations >= max_iterations:
             termination = TERM_BUDGET
             break
         try:
@@ -134,20 +122,17 @@ def run_expansion(source: str, provider: EdgeProvider, params: TraceParams,
         except ProviderError:
             termination = TERM_PROVIDER_ERROR
             break
-        provider_calls += 1
         if grew:
             # Rebuild so adjacency stays sorted and patterns stay fresh.
             subgraph = TransactionGraph(cache.merged_edges())
         local_push(node, subgraph, params, rank, ledger, stats)
         iterations += 1
-        assert iterations <= pop_bound, (
-            f"pop count {iterations} exceeded 1/(eps*alpha) bound {pop_bound}")
+        if iterations > pop_bound:
+            raise RuntimeError(
+                f"pop count {iterations} exceeded 1/(eps*alpha) bound {pop_bound}")
         if on_iteration is not None:
             on_iteration(rank, ledger, stats.dropped_mass)
 
-    if not subgraph.nodes:
-        subgraph = TransactionGraph([])
-        subgraph.nodes.add(source)
     return TraceResult(subgraph=subgraph, rank=rank, ledger=ledger,
                        params=params, iterations=iterations,
                        termination=termination,

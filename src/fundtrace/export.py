@@ -81,9 +81,7 @@ def graph_from_json(payload: dict) -> TransactionGraph:
                      rec["token"], rec["hash"])
         for rec in payload["edges"]
     ]
-    graph = TransactionGraph(edges)
-    graph.nodes.update(payload["nodes"].keys())
-    return graph
+    return TransactionGraph(edges, payload["nodes"].keys())
 
 
 def read_json(path: str) -> TransactionGraph:

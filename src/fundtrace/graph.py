@@ -59,9 +59,13 @@ class TransferEdge:
 
 
 class TransactionGraph:
-    """Immutable-after-build multigraph with timestamp-sorted adjacency."""
+    """Immutable-after-build multigraph with timestamp-sorted adjacency.
 
-    def __init__(self, edges: Iterable[TransferEdge]):
+    ``nodes`` adds accounts beyond the edge endpoints, such as a source
+    with no edges.
+    """
+
+    def __init__(self, edges: Iterable[TransferEdge], nodes: Iterable[str] = ()):
         self.edges: list[TransferEdge] = list(edges)
         self.nodes: set[str] = set()
         self._out: dict[str, list[TransferEdge]] = {}
@@ -81,6 +85,9 @@ class TransactionGraph:
         for node, lst in self._in.items():
             self._in_ts[node] = [e.timestamp for e in lst]
         classify_patterns(self)
+        # Added last: extra nodes carry no edges, and adding them first
+        # could change the set order that classification walks.
+        self.nodes.update(nodes)
 
     def __len__(self) -> int:
         return len(self.nodes)

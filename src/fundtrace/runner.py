@@ -5,9 +5,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from . import baselines, metrics
+from . import baselines, community, metrics
 from .community import Community, extract_community
-from .expansion import Budget, TraceResult, run_expansion
+from .expansion import TraceResult, run_expansion
 from .graph import TransactionGraph
 from .providers import EdgeProvider, GraphProvider
 from .ttr import TraceParams
@@ -24,7 +24,7 @@ class RunConfig:
     phi: float = 1e-3
     depth: int = 2          # BFS / Poison hop limit
     cutoff: float = 0.001   # Haircut stop fraction
-    budget: int | None = None
+    budget: int | None = None  # ttr: maximum number of pops
     hub_cap: int | None = None
 
     def params(self) -> TraceParams:
@@ -39,6 +39,8 @@ class RunConfig:
             raise ValueError("depth must be >= 0")
         if not 0.0 < self.cutoff <= 1.0:
             raise ValueError("cutoff must be in (0,1]")
+        if self.budget is not None and self.budget < 1:
+            raise ValueError("budget must be >= 1")
 
 
 @dataclass
@@ -63,31 +65,6 @@ class MethodResult:
         return self.subgraph
 
 
-def _materialize(provider: EdgeProvider, source: str,
-                 config: RunConfig) -> TransactionGraph:
-    """Whole-graph view for the non-push baselines; the file and graph
-    providers hold one, anything else is crawled breadth-first."""
-    graph = getattr(provider, "graph", None)
-    if graph is not None:
-        return graph
-    from .graph import TransactionGraph as TG
-    edges = {}
-    seen = set()
-    frontier = [source]
-    for _ in range(max(config.depth, 8)):
-        nxt = []
-        for node in frontier:
-            if node in seen:
-                continue
-            seen.add(node)
-            for e in provider.fetch_edges(node):
-                edges[id(e)] = e
-                if e.tgt not in seen:
-                    nxt.append(e.tgt)
-        frontier = nxt
-    return TG(list(edges.values()))
-
-
 def run_method(source: str, provider: EdgeProvider, config: RunConfig
                ) -> MethodResult:
     config.validate()
@@ -99,9 +76,7 @@ def run_method(source: str, provider: EdgeProvider, config: RunConfig
                         "depth": config.depth, "cutoff": config.cutoff}
 
     if config.method == "ttr":
-        budget = (Budget(max_provider_calls=config.budget)
-                  if config.budget else None)
-        trace = run_expansion(source, provider, params, budget,
+        trace = run_expansion(source, provider, params, config.budget,
                               hub_cap=config.hub_cap)
         comm = extract_community(trace.subgraph, trace.rank, source,
                                  params.phi)
@@ -117,12 +92,17 @@ def run_method(source: str, provider: EdgeProvider, config: RunConfig
                               community=comm, trace=trace,
                               provenance=provenance)
     else:
-        graph = _materialize(provider, source, config)
+        # The baselines read the whole graph, which only graph-backed
+        # providers hold; crawling an API for it would have no bound.
+        graph = getattr(provider, "graph", None)
+        if graph is None:
+            raise ValueError(f"method {config.method!r} needs an edge file "
+                             "provider")
         if config.method == "appr":
             rank, residual = baselines.appr_rank(graph, source,
                                                  config.alpha, config.epsilon)
             nodes = set(rank) | set(residual) | {source}
-            sub = _touched_subgraph(graph, nodes)
+            sub = community.induced_subgraph(graph, nodes)
             result = MethodResult(config.method, sub, rank,
                                   provenance=provenance)
         elif config.method == "bfs":
@@ -141,14 +121,6 @@ def run_method(source: str, provider: EdgeProvider, config: RunConfig
 
     result.runtime_s = time.perf_counter() - t0
     return result
-
-
-def _touched_subgraph(graph: TransactionGraph, nodes: set[str]
-                      ) -> TransactionGraph:
-    edges = [e for e in graph.edges if e.src in nodes and e.tgt in nodes]
-    sub = TransactionGraph(edges)
-    sub.nodes.update(nodes)
-    return sub
 
 
 def evaluate(result: MethodResult, source: str, targets: set[str]) -> dict:

@@ -100,10 +100,6 @@ def init_trace(source: str, params: TraceParams
     return rank, ledger
 
 
-def node_residual(ledger: ResidualLedger, node: str) -> float:
-    return ledger.node_total(node)
-
-
 def redirect_set(edge: TransferEdge, graph: TransactionGraph, node: str,
                  direction: str) -> list[TransferEdge]:
     """Resolve an edge to the edges that actually carry its token flow.
@@ -146,7 +142,6 @@ def redirect_set(edge: TransferEdge, graph: TransactionGraph, node: str,
 @dataclass
 class PushStats:
     dropped_mass: float = 0.0
-    pushes: int = 0
 
 
 def local_push(node: str, graph: TransactionGraph, params: TraceParams,
@@ -164,8 +159,6 @@ def local_push(node: str, graph: TransactionGraph, params: TraceParams,
         return
     total = sum(snapshot.values())
     rank[node] = rank.get(node, 0.0) + alpha * total
-    if stats is not None:
-        stats.pushes += 1
 
     for (ts, token), value in snapshot.items():
         e_out = graph.edges_after(node, ts, token)

@@ -61,6 +61,15 @@ class TestPoison:
         assert set(res.taint) == {"s", "a", "b", "c"}
         assert len(res.subgraph.nodes) == 4
 
+    def test_edges_not_repeated(self):
+        # A node relaxed under several (hops, time) labels rescans its
+        # out-edges; each edge must still appear once.
+        for seed in range(6):
+            g = random_txgraph(seed, n_nodes=60, n_edges=300)
+            res = poison_trace(g, sorted(g.nodes)[0], 3)
+            ids = [id(e) for e in res.subgraph.edges]
+            assert len(ids) == len(set(ids)), seed
+
     def test_monotone_in_depth(self):
         for seed in range(10):
             g = random_txgraph(seed, n_nodes=20, n_edges=60)
@@ -114,6 +123,13 @@ class TestHaircut:
             initial = sum(e.amount for e in g.out_edges(source))
             assert sum(res.held.values()) <= initial + 1e-9
             assert all(v >= -1e-9 for v in res.held.values())
+
+    def test_edges_not_repeated(self):
+        for seed in range(6):
+            g = random_txgraph(seed, n_nodes=60, n_edges=300)
+            res = haircut_trace(g, sorted(g.nodes)[0])
+            ids = [id(e) for e in res.subgraph.edges]
+            assert len(ids) == len(set(ids)), seed
 
     def test_no_outgoing_value_rests(self):
         g = build_graph([("s", "a", 10.0, 1, "T", "h1")])
@@ -206,7 +222,7 @@ def test_push_kernel_fallback_parity():
     for seed in range(5):
         g = random_txgraph(seed, n_nodes=40, n_edges=160)
         from fundtrace.baselines import _index_graph
-        _, indptr, indices = _index_graph(g)
+        _, indptr, indices = _index_graph(g, min(g.nodes))
         p1, r1 = _accel._push_py(indptr, indices, 0.15, 1e-5, 0)
         p2, r2 = push_nb(indptr, indices, 0.15, 1e-5, 0)
         assert np.allclose(p1, p2, atol=1e-12)

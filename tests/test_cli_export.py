@@ -193,6 +193,47 @@ class TestTraceCommand:
             payload = json.loads(out.read_text())
             assert "a" in payload["nodes"]
 
+    def test_budget_below_one_rejected(self, tmp_path):
+        edges = swap_rows_jsonl(tmp_path / "edges.jsonl")
+        for budget in ("0", "-3"):
+            res = self.run(["trace", "--source", "a", "--provider", edges,
+                            "--budget", budget,
+                            "--out", str(tmp_path / "o.json")])
+            assert res.exit_code == EXIT_CONFIG, budget
+            err = json.loads(res.stderr.strip().splitlines()[-1])
+            assert err["error"] == "config-error"
+        assert not (tmp_path / "o.json").exists()
+
+    def test_budget_caps_pops(self, tmp_path):
+        edges = swap_rows_jsonl(tmp_path / "edges.jsonl")
+        out = tmp_path / "o.json"
+        res = self.run(["trace", "--source", "a", "--provider", edges,
+                        "--budget", "1", "--phi", "0.5", "--out", str(out)])
+        assert res.exit_code == EXIT_OK
+        prov = json.loads((tmp_path / "o.json.provenance.json").read_text())
+        assert prov["iterations"] == 1
+        assert prov["termination"] == "budget-exhausted"
+
+    def test_baseline_over_api_rejected_without_requests(self, monkeypatch):
+        import fundtrace.cli as cli_mod
+        from test_providers import make_provider
+
+        made = []
+
+        def fake_http(base_url, **kwargs):
+            provider, session = make_provider({})
+            made.append(session)
+            return provider
+
+        monkeypatch.setattr(cli_mod, "HttpProvider", fake_http)
+        res = self.run(["trace", "--source", "a", "--method", "bfs",
+                        "--provider", "https://api.example/api"])
+        assert res.exit_code == EXIT_CONFIG
+        err = json.loads(res.stderr.strip().splitlines()[-1])
+        assert err["error"] == "config-error"
+        assert "edge file provider" in err["message"]
+        assert len(made) == 1 and made[0].requests == []
+
 
 class TestCompareAndGen:
     def run(self, args):

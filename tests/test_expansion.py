@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import build_graph, random_txgraph
 from fundtrace.expansion import (TERM_BUDGET, TERM_CONVERGED,
-                                 TERM_PROVIDER_ERROR, Budget, pop,
-                                 run_expansion)
+                                 TERM_PROVIDER_ERROR, pop, run_expansion)
 from fundtrace.providers import GraphProvider, ProviderError
 from fundtrace.ttr import ResidualLedger, TraceParams
 
@@ -139,7 +138,7 @@ def test_budget_exhaustion_partial_result():
     g = random_txgraph(3, n_nodes=50, n_edges=200)
     params = TraceParams(epsilon=1e-6)
     result = run_expansion(sorted(g.nodes)[0], GraphProvider(g), params,
-                           Budget(max_iterations=3))
+                           max_iterations=3)
     assert result.termination == TERM_BUDGET
     assert result.iterations == 3
 
@@ -224,3 +223,32 @@ def test_beta_one_dag_matches_forward_oracle():
         for node in set(want) | set(result.rank):
             assert result.rank.get(node, 0.0) == pytest.approx(
                 want.get(node, 0.0), abs=1e-7)
+
+
+POP_BOUND_SCRIPT = """
+import sys
+import fundtrace.expansion as expansion
+from fundtrace.providers import GraphProvider
+from fundtrace.graph import TransactionGraph
+from fundtrace.ttr import TraceParams
+if __debug__:
+    sys.exit("asserts are on: run this under python -O")
+# A push that never drains the residual pops the source forever.
+expansion.local_push = lambda *args, **kwargs: None
+expansion.run_expansion("s", GraphProvider(TransactionGraph([])),
+                        TraceParams(epsilon=0.1))
+"""
+
+
+def test_pop_bound_enforced_under_optimize():
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import fundtrace
+    src = str(Path(fundtrace.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", POP_BOUND_SCRIPT],
+                          env={"PYTHONPATH": src}, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 1, proc.stderr
+    assert "RuntimeError: pop count 68 exceeded 1/(eps*alpha) bound 67" in proc.stderr

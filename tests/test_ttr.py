@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 from conftest import FIG_SWAP_ROWS, build_graph, random_txgraph
 from fundtrace.graph import Pattern
 from fundtrace.ttr import (ANY_TOKEN, SEED_TS, PushStats, ResidualLedger,
-                           TraceParams, init_trace, local_push, node_residual,
-                           redirect_set)
+                           TraceParams, init_trace, local_push, redirect_set)
 from oracle import naive_push_once, naive_redirect
 
 
@@ -44,10 +43,10 @@ def test_init_traces_independent():
     assert l2.node_total("a") == 0.0
 
 
-def test_node_residual():
+def test_node_total():
     rank, ledger = init_trace("s", TraceParams())
-    assert node_residual(ledger, "s") == 1.0
-    assert node_residual(ledger, "absent") == 0.0
+    assert ledger.node_total("s") == 1.0
+    assert ledger.node_total("absent") == 0.0
 
 
 def test_single_edge_hand_computation():
