@@ -67,7 +67,8 @@ def main():
 @click.option("--cutoff", type=float, default=None)
 @click.option("--budget", type=int, default=None,
               help="ttr: maximum number of pops (at least 1).")
-@click.option("--hub-cap", type=int, default=None)
+@click.option("--hub-cap", type=int, default=None,
+              help="ttr: edges kept per fetched account (at least 1).")
 @click.option("--out", "out_path", default=None)
 @click.option("--format", "out_format", type=click.Choice(["json", "graphml"]),
               default=None)

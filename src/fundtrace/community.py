@@ -40,7 +40,9 @@ def conductance(members: set[str], graph: TransactionGraph,
     interior = sum(rank.get(u, 0.0) for u in members)
     if interior <= 0.0:
         raise ValueError("community has zero rank mass")
-    return sum(rank.get(v, 0.0) for v in boundary(members, graph)) / interior
+    # Summed in name order: set order varies with PYTHONHASHSEED.
+    return sum(rank.get(v, 0.0)
+               for v in sorted(boundary(members, graph))) / interior
 
 
 def extract_community(graph: TransactionGraph, rank: dict[str, float],
@@ -58,7 +60,7 @@ def extract_community(graph: TransactionGraph, rank: dict[str, float],
     # Boundary nodes counted once each regardless of in-edge multiplicity.
     bound: set[str] = {e.tgt for e in graph.out_edges(source)
                        if e.tgt != source}
-    bound_mass = sum(rank.get(v, 0.0) for v in bound)
+    bound_mass = sum(rank.get(v, 0.0) for v in sorted(bound))
 
     # Outside candidates ordered by descending rank, lexicographic ties.
     outside = sorted((v for v in graph.nodes if v != source),

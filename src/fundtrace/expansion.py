@@ -2,10 +2,11 @@
 highest per-node residual falls below epsilon.
 
 Each iteration pops the node with the largest residual, fetches its
-incident edges (cached), merges them into the working subgraph, and runs
-one local push on it. The pop count is bounded by 1/(epsilon*alpha):
-every pop converts at least alpha*epsilon mass into rank and total mass
-never grows.
+incident edges (once per account) and runs one local push over them
+alone. The result subgraph is built once, from the merged fetches, when
+the loop ends. The pop count is bounded by 1/(epsilon*alpha): every pop
+converts at least alpha*epsilon mass into rank and total mass never
+grows.
 """
 from __future__ import annotations
 
@@ -42,7 +43,8 @@ def pop(ledger: ResidualLedger, epsilon: float) -> str | None:
 
 
 class _EdgeCache:
-    """Caches provider fetches and merges edge multisets across accounts.
+    """Fetches each account once into a graph of its own incident edges,
+    and merges edge multisets across accounts for the result subgraph.
 
     An edge incident to two expanded accounts is returned by both
     fetches; merging keeps, per identical record, the maximum
@@ -53,41 +55,32 @@ class _EdgeCache:
     def __init__(self, provider: EdgeProvider, hub_cap: int | None = None):
         self.provider = provider
         self.hub_cap = hub_cap
-        self._fetched: dict[str, list[TransferEdge]] = {}
-        self._multiplicity: dict[tuple, int] = {}
+        self._graphs: dict[str, TransactionGraph] = {}
         self._edges: dict[tuple, list[TransferEdge]] = {}
         self.hub_cap_hits: list[str] = []
 
-    def expand(self, account: str) -> tuple[list[TransferEdge], bool]:
-        """Returns (incident edges, whether anything new was merged)."""
-        if account in self._fetched:
-            return self._fetched[account], False
-        edges = list(self.provider.fetch_edges(account))
-        edges.sort(key=TransferEdge.sort_key)
+    def expand(self, account: str) -> TransactionGraph:
+        """The graph of the account's (hub-capped) incident edges."""
+        graph = self._graphs.get(account)
+        if graph is not None:
+            return graph
+        edges = sorted(self.provider.fetch_edges(account),
+                       key=TransferEdge.sort_key)
         if self.hub_cap is not None and len(edges) > self.hub_cap:
             edges = edges[: self.hub_cap]
             self.hub_cap_hits.append(account)
-        self._fetched[account] = edges
-        grew = False
-        counts: dict[tuple, int] = {}
+        graph = self._graphs[account] = TransactionGraph(edges)
+        copies: dict[tuple, list[TransferEdge]] = {}
         for e in edges:
-            counts[e.key()] = counts.get(e.key(), 0) + 1
-        for key, count in counts.items():
-            have = self._multiplicity.get(key, 0)
-            if count > have:
-                self._multiplicity[key] = count
-                bucket = self._edges.setdefault(key, [])
-                source = [e for e in edges if e.key() == key]
-                bucket[:] = source[:count]
-                grew = True
-        return edges, grew
+            copies.setdefault(e.key(), []).append(e)
+        for key, group in copies.items():
+            if len(group) > len(self._edges.get(key, ())):
+                self._edges[key] = group
+        return graph
 
     def merged_edges(self) -> list[TransferEdge]:
-        out: list[TransferEdge] = []
-        for bucket in self._edges.values():
-            out.extend(bucket)
-        out.sort(key=TransferEdge.sort_key)
-        return out
+        return sorted((e for group in self._edges.values() for e in group),
+                      key=TransferEdge.sort_key)
 
 
 def run_expansion(source: str, provider: EdgeProvider, params: TraceParams,
@@ -106,7 +99,6 @@ def run_expansion(source: str, provider: EdgeProvider, params: TraceParams,
     stats = PushStats()
     cache = _EdgeCache(provider, hub_cap)
     pop_bound = math.ceil(1.0 / (params.epsilon * params.alpha))
-    subgraph = TransactionGraph([], (source,))
     iterations = 0
     termination = TERM_CONVERGED
 
@@ -118,14 +110,11 @@ def run_expansion(source: str, provider: EdgeProvider, params: TraceParams,
             termination = TERM_BUDGET
             break
         try:
-            _, grew = cache.expand(node)
+            graph = cache.expand(node)
         except ProviderError:
             termination = TERM_PROVIDER_ERROR
             break
-        if grew:
-            # Rebuild so adjacency stays sorted and patterns stay fresh.
-            subgraph = TransactionGraph(cache.merged_edges())
-        local_push(node, subgraph, params, rank, ledger, stats)
+        local_push(node, graph, params, rank, ledger, stats)
         iterations += 1
         if iterations > pop_bound:
             raise RuntimeError(
@@ -133,6 +122,7 @@ def run_expansion(source: str, provider: EdgeProvider, params: TraceParams,
         if on_iteration is not None:
             on_iteration(rank, ledger, stats.dropped_mass)
 
+    subgraph = TransactionGraph(cache.merged_edges(), (source,))
     return TraceResult(subgraph=subgraph, rank=rank, ledger=ledger,
                        params=params, iterations=iterations,
                        termination=termination,

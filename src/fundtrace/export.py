@@ -35,7 +35,8 @@ def to_networkx(graph: TransactionGraph, rank: dict[str, float] | None = None,
         g.add_node(node, **attrs)
     for e in sorted(graph.edges, key=TransferEdge.sort_key):
         g.add_edge(e.src, e.tgt, amount=e.amount, timestamp=e.timestamp,
-                   token=e.token, hash=e.hash, pattern=e.pattern.value)
+                   token=e.token, hash=e.hash,
+                   pattern=graph.pattern(e).value)
     return g
 
 
@@ -60,7 +61,7 @@ def graph_to_json(graph: TransactionGraph, *,
         "edges": [
             {"src": e.src, "tgt": e.tgt, "amount": e.amount,
              "timestamp": e.timestamp, "token": e.token, "hash": e.hash,
-             "pattern": e.pattern.value}
+             "pattern": graph.pattern(e).value}
             for e in sorted(graph.edges, key=TransferEdge.sort_key)
         ],
         "provenance": provenance or {},
@@ -74,8 +75,8 @@ def write_json(path: str, graph: TransactionGraph, **kwargs) -> None:
 
 
 def graph_from_json(payload: dict) -> TransactionGraph:
-    """Inverse of graph_to_json (patterns are reclassified, which must
-    reproduce the exported tags)."""
+    """Inverse of graph_to_json (patterns are decided again from the
+    edges, which reproduces the exported tags)."""
     edges = [
         TransferEdge(rec["src"], rec["tgt"], rec["amount"], rec["timestamp"],
                      rec["token"], rec["hash"])

@@ -1,8 +1,10 @@
 """Directed, weighted, temporal, multi-relationship transaction graph.
 
 Accounts are case-normalized strings. Edges carry (src, tgt, amount,
-timestamp, token, hash) and are classified at build time into transfer
-(Xfer) or exchange (Swap) patterns based on per-node hash groups.
+timestamp, token, hash). Whether an edge is a transfer (Xfer) or an
+exchange (Swap) leg is decided per account, from that account's own
+hash groups, so the same edge can be a Swap leg at one endpoint and a
+transfer at the other.
 """
 from __future__ import annotations
 
@@ -10,7 +12,7 @@ import csv
 import io
 import json
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Sequence
 
@@ -36,7 +38,7 @@ def normalize_account(raw: str) -> str:
     return acct
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class TransferEdge:
     src: str
     tgt: str
@@ -44,11 +46,6 @@ class TransferEdge:
     timestamp: int
     token: str
     hash: str
-    pattern: Pattern = Pattern.XFER
-    # Tokens on the opposite legs of the same hash at the same node.
-    # Populated only for Swap edges; for an edge sitting in both endpoints'
-    # hash groups the outgoing-side grouping wins (see classify_patterns).
-    counter_tokens: frozenset[str] = frozenset()
 
     def key(self) -> tuple:
         return (self.src, self.tgt, self.amount, self.timestamp,
@@ -62,7 +59,7 @@ class TransactionGraph:
     """Immutable-after-build multigraph with timestamp-sorted adjacency.
 
     ``nodes`` adds accounts beyond the edge endpoints, such as a source
-    with no edges.
+    with no edges. Swap tags are decided per node on first use.
     """
 
     def __init__(self, edges: Iterable[TransferEdge], nodes: Iterable[str] = ()):
@@ -84,10 +81,8 @@ class TransactionGraph:
             self._out_ts[node] = [e.timestamp for e in lst]
         for node, lst in self._in.items():
             self._in_ts[node] = [e.timestamp for e in lst]
-        classify_patterns(self)
-        # Added last: extra nodes carry no edges, and adding them first
-        # could change the set order that classification walks.
         self.nodes.update(nodes)
+        self._counter: dict[str, dict[TransferEdge, frozenset[str]]] = {}
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -103,13 +98,25 @@ class TransactionGraph:
         return self._in.get(node, ())
 
     def incident_edges(self, node: str) -> list[TransferEdge]:
-        return list(self._out.get(node, ())) + list(self._in.get(node, ()))
+        """Edges with ``node`` at either end, a self-loop once."""
+        return list(self._out.get(node, ())) + [
+            e for e in self._in.get(node, ()) if e.src != node]
 
-    def hash_groups(self, node: str) -> dict[str, list[TransferEdge]]:
-        groups: dict[str, list[TransferEdge]] = {}
-        for e in self.incident_edges(node):
-            groups.setdefault(e.hash, []).append(e)
-        return groups
+    def counter_tokens(self, node: str, edge: TransferEdge) -> frozenset[str]:
+        """Tokens that ``edge`` is exchanged against at ``node``; empty
+        when the edge is a transfer leg there."""
+        tags = self._counter.get(node)
+        if tags is None:
+            tags = self._counter[node] = classify_patterns(
+                node, self.incident_edges(node))
+        return tags.get(edge, frozenset())
+
+    def pattern(self, edge: TransferEdge) -> Pattern:
+        """Swap when the edge is a Swap leg at either endpoint."""
+        if (self.counter_tokens(edge.src, edge)
+                or self.counter_tokens(edge.tgt, edge)):
+            return Pattern.SWAP
+        return Pattern.XFER
 
     def edges_after(self, node: str, bound: float,
                     token: str | None = None) -> list[TransferEdge]:
@@ -141,39 +148,31 @@ class TransactionGraph:
         return picked
 
 
-def classify_patterns(graph: TransactionGraph) -> TransactionGraph:
-    """Assign Xfer/Swap pattern tags from per-node hash groups.
+def classify_patterns(node: str, edges: Sequence[TransferEdge]
+                      ) -> dict[TransferEdge, frozenset[str]]:
+    """Counter tokens of the Swap legs at ``node``, from its incident
+    ``edges`` alone.
 
-    A hash group at a node is a Swap group when it has at least one
-    outgoing and one incoming leg with differing token symbols. Within a
-    Swap group an individual leg whose opposite side carries no other
-    token than its own stays Xfer (a same-token round trip is not an
-    exchange). Idempotent; tags are recomputed from scratch each call.
+    A leg at ``node`` is a Swap leg when its hash group there has an
+    opposite-side leg (incoming for an outgoing leg, and the reverse)
+    carrying another token; its counter tokens are those other tokens. A
+    same-token round trip is not an exchange. A self-loop counts as an
+    incoming leg. The result does not depend on the order of ``edges``.
     """
-    for e in graph.edges:
-        e.pattern = Pattern.XFER
-        e.counter_tokens = frozenset()
-    for node in graph.nodes:
-        for _h, group in graph.hash_groups(node).items():
-            out_legs = [e for e in group if e.src == node]
-            in_legs = [e for e in group if e.tgt == node]
-            if not out_legs or not in_legs:
-                continue
-            out_tokens = {e.token for e in out_legs}
-            in_tokens = {e.token for e in in_legs}
-            if len(out_tokens | in_tokens) < 2:
-                continue
-            for e in out_legs:
-                counter = in_tokens - {e.token}
-                if counter:
-                    e.pattern = Pattern.SWAP
-                    e.counter_tokens = frozenset(counter)
-            for e in in_legs:
-                counter = out_tokens - {e.token}
-                if counter:
-                    e.pattern = Pattern.SWAP
-                    e.counter_tokens = frozenset(counter)
-    return graph
+    out_tokens: dict[str, set[str]] = {}
+    in_tokens: dict[str, set[str]] = {}
+    for e in edges:
+        if e.src == node:
+            out_tokens.setdefault(e.hash, set()).add(e.token)
+        if e.tgt == node:
+            in_tokens.setdefault(e.hash, set()).add(e.token)
+    tags: dict[TransferEdge, frozenset[str]] = {}
+    for e in edges:
+        opposite = out_tokens if e.tgt == node else in_tokens
+        counter = opposite.get(e.hash, set()) - {e.token}
+        if counter:
+            tags[e] = frozenset(counter)
+    return tags
 
 
 def _parse_record(rec: dict, line: int, chain_symbol: str) -> TransferEdge:

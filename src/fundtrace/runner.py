@@ -41,6 +41,8 @@ class RunConfig:
             raise ValueError("cutoff must be in (0,1]")
         if self.budget is not None and self.budget < 1:
             raise ValueError("budget must be >= 1")
+        if self.hub_cap is not None and self.hub_cap < 1:
+            raise ValueError("hub_cap must be >= 1")
 
 
 @dataclass

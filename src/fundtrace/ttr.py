@@ -4,14 +4,15 @@ Residual mass is keyed by (account, timestamp, token). A push converts
 an alpha fraction of a node's residual into rank and forwards the rest:
 a beta share through outgoing edges later than the residual's timestamp,
 a (1-beta) share through incoming edges earlier than it, each split
-across edges by amount. Swap legs do not receive mass directly; it is
-redirected to the continuation edges of the exchanged token.
+across edges by amount. Swap legs at the pushing account do not receive
+mass directly; it is redirected to the continuation edges of the
+exchanged token.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graph import Pattern, TransactionGraph, TransferEdge
+from .graph import TransactionGraph, TransferEdge
 
 # Seed residual key: all outgoing edges qualify, no incoming edge does.
 SEED_TS = float("-inf")
@@ -104,17 +105,19 @@ def redirect_set(edge: TransferEdge, graph: TransactionGraph, node: str,
                  direction: str) -> list[TransferEdge]:
     """Resolve an edge to the edges that actually carry its token flow.
 
-    A transfer edge maps to itself. An exchange leg maps to the edges of
-    its counter tokens on the same side of the node: later edges for the
-    outgoing side, earlier ones for the incoming side, never from its own
-    hash group. The recursion over chained exchanges is guarded by a
-    visited-hash set (a revisited leg is kept as terminal) and a depth cap.
+    A transfer leg at ``node`` maps to itself. An exchange leg maps to
+    the edges of its counter tokens at ``node`` on the same side: later
+    edges for the outgoing side, earlier ones for the incoming side, never
+    from its own hash group. The recursion over chained exchanges is
+    guarded by a visited-hash set (a revisited leg is kept as terminal)
+    and a depth cap.
     """
     result: list[TransferEdge] = []
     seen_ids: set[int] = set()
 
     def walk(e: TransferEdge, visited: frozenset[str], depth: int) -> None:
-        if e.pattern is Pattern.XFER or e.hash in visited or depth >= MAX_REDIRECT_DEPTH:
+        counter = graph.counter_tokens(node, e)
+        if not counter or e.hash in visited or depth >= MAX_REDIRECT_DEPTH:
             if id(e) not in seen_ids:
                 seen_ids.add(id(e))
                 result.append(e)
@@ -124,13 +127,13 @@ def redirect_set(edge: TransferEdge, graph: TransactionGraph, node: str,
             candidates = graph.edges_after(node, e.timestamp - 1)
             candidates = [c for c in candidates
                           if c.timestamp >= e.timestamp
-                          and c.token in e.counter_tokens
+                          and c.token in counter
                           and c.hash != e.hash]
         else:
             candidates = graph.edges_before(node, e.timestamp + 1)
             candidates = [c for c in candidates
                           if c.timestamp <= e.timestamp
-                          and c.token in e.counter_tokens
+                          and c.token in counter
                           and c.hash != e.hash]
         for c in candidates:
             walk(c, visited, depth + 1)
@@ -178,7 +181,8 @@ def local_push(node: str, graph: TransactionGraph, params: TraceParams,
                 leg_mass = (1.0 - alpha) * gamma * weight * value
                 if leg_mass == 0.0:
                     continue
-                routed = redirect_set(e, graph, node, direction)
+                routed = (redirect_set(e, graph, node, direction)
+                          if graph.counter_tokens(node, e) else [e])
                 if not routed:
                     # Exchange with no continuation edge: mass is dropped
                     # rather than self-returned; callers track the tally.

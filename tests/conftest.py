@@ -48,3 +48,35 @@ def random_txgraph(seed, n_nodes=20, n_edges=60, n_tokens=3, swap_rate=0.0):
 def random_path_seed(seed, n_nodes=20):
     rng = random.Random(seed)
     return f"n{rng.randrange(n_nodes):02d}"
+
+
+def multihop_swap_rows(seed, n_nodes=20, n_edges=40, n_swaps=12):
+    """Plain transfers plus three-account hash groups a->p1 (token X),
+    p1->p2 (Y), p2->a (Z) at one timestamp, so a leg such as a->p1 is a
+    Swap leg at both ends with different counter tokens ({Z} at a, {Y}
+    at p1)."""
+    rng = random.Random(seed)
+    nodes = [f"n{i:02d}" for i in range(n_nodes)]
+    tokens = [f"tk{i}" for i in range(4)]
+    rows = []
+    for k in range(n_edges):
+        src, tgt = rng.sample(nodes, 2)
+        rows.append((src, tgt, rng.uniform(0.5, 100.0),
+                     rng.randint(1, 10_000), rng.choice(tokens), f"x{k:05d}"))
+    for k in range(n_swaps):
+        a, p1, p2 = rng.sample(nodes, 3)
+        x, y, z = rng.sample(tokens, 3)
+        ts = rng.randint(1, 10_000)
+        for src, tgt, token in ((a, p1, x), (p1, p2, y), (p2, a, z)):
+            rows.append((src, tgt, rng.uniform(0.5, 100.0), ts, token,
+                         f"s{k:05d}"))
+    rng.shuffle(rows)
+    return rows
+
+
+def tagged_edges(graph):
+    """Each edge with its pattern and its counter tokens at both ends."""
+    return sorted((e.sort_key(), graph.pattern(e).value,
+                   tuple(sorted(graph.counter_tokens(e.src, e))),
+                   tuple(sorted(graph.counter_tokens(e.tgt, e))))
+                  for e in graph.edges)

@@ -9,24 +9,33 @@ from __future__ import annotations
 NEG_INF = float("-inf")
 
 
-def _edge_fields(e):
-    return (e.src, e.tgt, e.amount, e.timestamp, e.token, e.hash,
-            e.pattern.value, set(e.counter_tokens))
+def naive_counter_tokens(node, edge, edges):
+    """Tokens ``edge`` is exchanged against at ``node``, by brute scan of
+    ``node``'s legs under the edge's hash: the other tokens on the
+    opposite side (a self-loop counts as incoming)."""
+    incoming = edge.tgt == node
+    opposite = set()
+    for e in edges:
+        if e.hash != edge.hash:
+            continue
+        if (e.src == node) if incoming else (e.tgt == node):
+            opposite.add(e.token)
+    return opposite - {edge.token}
 
 
 def naive_redirect(edge, edges, direction, visited=None, depth=0):
     """Recursive token-flow resolution by brute scan."""
-    src, tgt, amt, ts, token, h, pattern, counter = _edge_fields(edge)
+    ts, h = edge.timestamp, edge.hash
+    node = edge.src if direction == "out" else edge.tgt
+    counter = naive_counter_tokens(node, edge, edges)
     if visited is None:
         visited = set()
-    if pattern == "xfer" or h in visited or depth >= 32:
+    if not counter or h in visited or depth >= 32:
         return [edge]
     visited = visited | {h}
-    node = src if direction == "out" else tgt
     out = []
     for c in edges:
-        cf = _edge_fields(c)
-        if cf[5] == h or cf[4] not in counter:
+        if c.hash == h or c.token not in counter:
             continue
         if direction == "out":
             if c.src == node and c.timestamp >= ts:

@@ -8,14 +8,14 @@ import networkx as nx
 import pytest
 from click.testing import CliRunner
 
-from conftest import FIG_SWAP_ROWS, build_graph, random_txgraph
+from conftest import (FIG_SWAP_ROWS, build_graph, multihop_swap_rows,
+                      random_txgraph, tagged_edges)
 from fundtrace.baselines import appr_rank, exact_ppr
 from fundtrace.cases import CaseSpec, generate_planted_case
 from fundtrace.cli import main as cli_main
 from fundtrace.community import conductance, extract_community
 from fundtrace.expansion import run_expansion
 from fundtrace.export import (graph_from_json, graph_to_json, write_graphml)
-from fundtrace.graph import classify_patterns
 from fundtrace.metrics import topn_curve, topn_recall
 from fundtrace.providers import GraphProvider
 from fundtrace.runner import RunConfig, evaluate, run_case_graph
@@ -45,10 +45,8 @@ def test_criterion_01_mass_conservation():
     for seed in range(50):
         g = random_txgraph(seed, n_nodes=100, n_edges=500, n_tokens=3,
                            swap_rate=0.2)
-        classify_patterns(g)
         worst = max(worst, checked_run(g, sorted(g.nodes)[0]))
     fixture = build_graph(FIG_SWAP_ROWS)
-    classify_patterns(fixture)
     worst = max(worst, checked_run(fixture, "a"))
     _report(1, f"mass conserved after every push on 50 random graphs "
                f"and the swap fixture (worst drift {worst:.2e})")
@@ -60,7 +58,6 @@ def test_criterion_02_pop_iteration_bound():
     worst = 0
     for seed in range(10):
         g = random_txgraph(seed, n_nodes=80, n_edges=320, swap_rate=0.2)
-        classify_patterns(g)
         result = run_expansion(sorted(g.nodes)[0], GraphProvider(g), params)
         assert result.iterations <= bound
         worst = max(worst, result.iterations)
@@ -93,7 +90,6 @@ def test_criterion_03_depth_bound():
 
 def test_criterion_04_token_redirection():
     g = build_graph(FIG_SWAP_ROWS)
-    classify_patterns(g)
     result = run_expansion("a", GraphProvider(g), TraceParams())
     # exchanged value continues into the later ETH spends, split equally
     # across the continuation set
@@ -134,7 +130,6 @@ def test_criterion_06_community_sweep():
     phi = 1e-3
     for seed in range(10):
         g = random_txgraph(seed, n_nodes=40, n_edges=160, swap_rate=0.2)
-        classify_patterns(g)
         source = sorted(g.nodes)[0]
         result = run_expansion(source, GraphProvider(g), TraceParams())
         comm = extract_community(result.subgraph, result.rank, source, phi)
@@ -235,13 +230,43 @@ def test_criterion_09_determinism(tmp_path):
         blobs.append(out.read_bytes()
                      + (tmp_path / "result.json.provenance.json").read_bytes())
     assert blobs[0] == blobs[1]
-    _report(9, "two identical trace invocations produced byte-identical "
-               "result and provenance files")
+
+    # Across processes and hash seeds, on graphs where legs are Swap legs
+    # at both ends with different counter tokens.
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import fundtrace
+    src = str(Path(fundtrace.__file__).resolve().parents[1])
+    script = "from fundtrace.cli import main; main()"
+    for seed in (0, 5):
+        rows = multihop_swap_rows(seed, n_nodes=12, n_edges=30, n_swaps=20)
+        edges = tmp_path / f"multihop{seed}.jsonl"
+        edges.write_text("".join(
+            json.dumps({"from": s, "to": t, "value": str(a),
+                        "timeStamp": str(ts), "tokenSymbol": tok,
+                        "hash": h}) + "\n"
+            for s, t, a, ts, tok, h in rows))
+        blobs = []
+        for hash_seed in ("0", "1"):
+            out = tmp_path / f"multihop{seed}-{hash_seed}.json"
+            proc = subprocess.run(
+                [sys.executable, "-c", script, "trace", "--source", "n00",
+                 "--provider", str(edges), "--out", str(out)],
+                env={"PYTHONPATH": src, "PYTHONHASHSEED": hash_seed},
+                capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            blobs.append(out.read_bytes()
+                         + Path(f"{out}.provenance.json").read_bytes())
+        assert blobs[0] == blobs[1], f"graph seed {seed}"
+    _report(9, "identical trace invocations produced byte-identical result "
+               "and provenance files, in one process and across two "
+               "processes with different PYTHONHASHSEED values")
 
 
 def test_criterion_10_export_validity(tmp_path):
     g = random_txgraph(23, n_nodes=15, n_edges=45, swap_rate=0.3)
-    classify_patterns(g)
     out = tmp_path / "g.graphml"
     write_graphml(str(out), g, rank={"n00": 0.5}, source="n00")
     ns = "{http://graphml.graphdrawing.org/xmlns}"
@@ -265,10 +290,8 @@ def test_criterion_10_export_validity(tmp_path):
 
     payload = graph_to_json(g, rank={"n00": 0.5}, source="n00")
     restored = graph_from_json(json.loads(json.dumps(payload)))
-    classify_patterns(restored)
-    key = lambda e: (e.sort_key(), e.pattern.value,
-                     tuple(sorted(e.counter_tokens)))
+
     assert restored.nodes == g.nodes
-    assert sorted(map(key, restored.edges)) == sorted(map(key, g.edges))
+    assert tagged_edges(restored) == tagged_edges(g)
     _report(10, "graph markup output is well-formed with declared keys and "
                 "resolvable endpoints; JSON round trip is lossless")

@@ -5,11 +5,12 @@ import networkx as nx
 import pytest
 from click.testing import CliRunner
 
-from conftest import FIG_SWAP_ROWS, build_graph, random_txgraph
+from conftest import (FIG_SWAP_ROWS, build_graph, random_txgraph,
+                      tagged_edges)
 from fundtrace.cli import (EXIT_CONFIG, EXIT_NOT_CONVERGED, EXIT_OK, main)
 from fundtrace.export import (graph_from_json, graph_to_json, read_json,
                               to_networkx, write_graphml, write_json)
-from fundtrace.graph import Pattern, classify_patterns
+from fundtrace.graph import Pattern
 
 GRAPHML_NS = "{http://graphml.graphdrawing.org/xmlns}"
 
@@ -25,7 +26,6 @@ def swap_rows_jsonl(path):
 class TestExport:
     def test_graphml_structure(self, tmp_path):
         g = random_txgraph(1, n_nodes=10, n_edges=25, swap_rate=0.3)
-        classify_patterns(g)
         out = tmp_path / "g.graphml"
         write_graphml(str(out), g, rank={"n00": 0.5}, source="n00")
         root = ET.parse(out).getroot()
@@ -41,7 +41,6 @@ class TestExport:
 
     def test_graphml_networkx_round_trip(self, tmp_path):
         g = build_graph(FIG_SWAP_ROWS)
-        classify_patterns(g)
         out = tmp_path / "g.graphml"
         write_graphml(str(out), g, rank={"u": 0.2}, source="a",
                       community={"a", "u"})
@@ -57,24 +56,19 @@ class TestExport:
 
     def test_json_round_trip_lossless(self):
         g = random_txgraph(2, n_nodes=12, n_edges=30, swap_rate=0.3)
-        classify_patterns(g)
         payload = graph_to_json(g, rank={"n00": 0.4}, source="n00")
         back = graph_from_json(payload)
-        classify_patterns(back)
         assert back.nodes == g.nodes
-        key = lambda e: (e.sort_key(), e.pattern.value,
-                         tuple(sorted(e.counter_tokens)))
-        assert sorted(map(key, back.edges)) == sorted(map(key, g.edges))
+        assert tagged_edges(back) == tagged_edges(g)
 
     def test_json_file_round_trip(self, tmp_path):
         g = build_graph(FIG_SWAP_ROWS)
-        classify_patterns(g)
         out = tmp_path / "g.json"
         write_json(str(out), g, source="a")
         back = read_json(str(out))
-        classify_patterns(back)
         assert back.nodes == g.nodes
-        assert sum(1 for e in back.edges if e.pattern is Pattern.SWAP) == 2
+        assert sum(1 for e in back.edges
+                   if back.pattern(e) is Pattern.SWAP) == 2
 
     def test_isolated_nodes_survive_json(self):
         g = build_graph([("a", "b", 1.0, 1, "T", "h1")])
@@ -87,7 +81,6 @@ class TestExport:
             ("a", "b", 1.0, 1, "T", "h1"),
             ("a", "b", 2.0, 5, "T", "h2"),
         ])
-        classify_patterns(g)
         assert to_networkx(g).number_of_edges("a", "b") == 2
 
 
@@ -202,6 +195,18 @@ class TestTraceCommand:
             assert res.exit_code == EXIT_CONFIG, budget
             err = json.loads(res.stderr.strip().splitlines()[-1])
             assert err["error"] == "config-error"
+        assert not (tmp_path / "o.json").exists()
+
+    def test_hub_cap_below_one_rejected(self, tmp_path):
+        edges = swap_rows_jsonl(tmp_path / "edges.jsonl")
+        for hub_cap in ("0", "-1"):
+            res = self.run(["trace", "--source", "a", "--provider", edges,
+                            "--hub-cap", hub_cap,
+                            "--out", str(tmp_path / "o.json")])
+            assert res.exit_code == EXIT_CONFIG, hub_cap
+            err = json.loads(res.stderr.strip().splitlines()[-1])
+            assert err["error"] == "config-error"
+            assert "hub_cap" in err["message"]
         assert not (tmp_path / "o.json").exists()
 
     def test_budget_caps_pops(self, tmp_path):

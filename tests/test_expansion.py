@@ -4,11 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_graph, random_txgraph
+from conftest import build_graph, multihop_swap_rows, random_txgraph
 from fundtrace.expansion import (TERM_BUDGET, TERM_CONVERGED,
-                                 TERM_PROVIDER_ERROR, pop, run_expansion)
+                                 TERM_PROVIDER_ERROR, _EdgeCache, pop,
+                                 run_expansion)
 from fundtrace.providers import GraphProvider, ProviderError
-from fundtrace.ttr import ResidualLedger, TraceParams
+from fundtrace.ttr import (PushStats, ResidualLedger, TraceParams, init_trace,
+                           local_push)
 
 
 class FailingProvider:
@@ -187,6 +189,55 @@ def test_hub_cap_recorded():
     result = run_expansion("s", GraphProvider(g), TraceParams(),
                            hub_cap=10)
     assert "hub" in result.hub_cap_hits
+
+
+def test_hub_expands_in_bounded_time():
+    import time
+    rows = [("s", "hub", 100.0, 1, "T", "h0")]
+    rows += [("hub", f"t{i}", 1.0, 2 + i, "T", f"h{i + 1}")
+             for i in range(8000)]
+    cache = _EdgeCache(GraphProvider(build_graph(rows)))
+    start = time.perf_counter()
+    hub = cache.expand("hub")
+    elapsed = time.perf_counter() - start
+    assert len(hub.out_edges("hub")) == 8000
+    assert len(cache.merged_edges()) == 8001
+    assert elapsed < 1.0
+
+
+def full_graph_push(graph, source, params):
+    """The pop/push loop over the prebuilt graph. A push reads only the
+    pushing account's own edges, so a trace that fetches one account at a
+    time must match it bit for bit."""
+    rank, ledger = init_trace(source, params)
+    stats = PushStats()
+    while (node := pop(ledger, params.epsilon)) is not None:
+        local_push(node, graph, params, rank, ledger, stats)
+    return rank, stats.dropped_mass
+
+
+def test_expansion_equals_full_graph_push():
+    params = TraceParams(epsilon=1e-4)
+    for seed in range(60):
+        g = build_graph(multihop_swap_rows(seed))
+        source = sorted(g.nodes)[0]
+        rank, dropped = full_graph_push(g, source, params)
+        result = run_expansion(source, GraphProvider(g), params)
+        assert result.rank == rank, seed
+        assert result.dropped_mass == dropped, seed
+
+
+def test_self_transfer_counted_once():
+    g = build_graph([
+        ("a", "u", 5.0, 1, "T", "h1"),
+        ("u", "u", 5.0, 2, "T", "h2"),
+        ("u", "b", 5.0, 3, "T", "h3"),
+    ])
+    assert len(GraphProvider(g).fetch_edges("u")) == 3
+    params = TraceParams(epsilon=1e-4)
+    result = run_expansion("a", GraphProvider(g), params)
+    assert result.subgraph.num_edges == 3
+    assert result.rank == full_graph_push(g, "a", params)[0]
 
 
 def test_ranked_nodes_in_subgraph():

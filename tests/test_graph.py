@@ -1,10 +1,11 @@
 import io
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_graph, random_txgraph
+from conftest import build_graph, multihop_swap_rows, random_txgraph
 from fundtrace.graph import (IngestError, Pattern, TransactionGraph,
                              TransferEdge, classify_patterns, ingest_records,
                              iter_csv_records, iter_jsonl_records,
@@ -26,7 +27,7 @@ def test_two_unrelated_records_are_xfer():
     ])
     assert len(g) == 3
     assert g.num_edges == 2
-    assert all(e.pattern is Pattern.XFER for e in g.edges)
+    assert all(g.pattern(e) is Pattern.XFER for e in g.edges)
     assert [e.hash for e in g.in_edges("b")] == ["h1"]
     assert [e.hash for e in g.out_edges("b")] == ["h2"]
 
@@ -40,15 +41,15 @@ def test_swap_classification_with_counter_tokens():
     ])
     out_leg = g.out_edges("u")[0]
     in_leg = g.in_edges("u")[0]
-    assert out_leg.pattern is Pattern.SWAP
-    assert out_leg.counter_tokens == {"ETH"}
-    assert in_leg.pattern is Pattern.SWAP
-    assert in_leg.counter_tokens == {"USDC"}
+    assert g.pattern(out_leg) is Pattern.SWAP
+    assert g.counter_tokens("u", out_leg) == {"ETH"}
+    assert g.pattern(in_leg) is Pattern.SWAP
+    assert g.counter_tokens("u", in_leg) == {"USDC"}
 
 
 def test_single_edge_is_xfer():
     g = build_graph([("a", "b", 1.0, 1, "T", "h1")])
-    assert g.edges[0].pattern is Pattern.XFER
+    assert g.pattern(g.edges[0]) is Pattern.XFER
 
 
 def test_same_token_round_trip_is_xfer():
@@ -56,7 +57,7 @@ def test_same_token_round_trip_is_xfer():
         ("u", "v", 5.0, 1, "T1", "h1"),
         ("v", "u", 5.0, 1, "T1", "h1"),
     ])
-    assert all(e.pattern is Pattern.XFER for e in g.edges)
+    assert all(g.pattern(e) is Pattern.XFER for e in g.edges)
 
 
 def test_mixed_token_hash_group_is_swap():
@@ -64,7 +65,31 @@ def test_mixed_token_hash_group_is_swap():
         ("u", "v", 5.0, 1, "T1", "h1"),
         ("v", "u", 3.0, 1, "T2", "h1"),
     ])
-    assert all(e.pattern is Pattern.SWAP for e in g.edges)
+    assert all(g.pattern(e) is Pattern.SWAP for e in g.edges)
+
+
+def test_counter_tokens_decided_per_endpoint():
+    g = build_graph([
+        ("x", "u", 1.0, 1, "C", "h"),
+        ("u", "v", 1.0, 1, "A", "h"),
+        ("v", "w", 1.0, 1, "B", "h"),
+    ])
+    leg = g.out_edges("u")[0]
+    assert g.counter_tokens("u", leg) == {"C"}
+    assert g.counter_tokens("v", leg) == {"B"}
+    assert g.pattern(leg) is Pattern.SWAP
+    assert classify_patterns("u", g.incident_edges("u")) == {
+        leg: {"C"}, g.in_edges("u")[0]: {"A"}}
+
+
+def test_counter_tokens_match_oracle_on_multihop_swaps():
+    from oracle import naive_counter_tokens
+    for seed in range(20):
+        g = build_graph(multihop_swap_rows(seed))
+        for e in g.edges:
+            for node in (e.src, e.tgt):
+                assert g.counter_tokens(node, e) == naive_counter_tokens(
+                    node, e, g.edges)
 
 
 def test_malformed_records_skipped_with_line_numbers():
@@ -176,14 +201,18 @@ def test_adjacency_invariants(seed):
 @settings(max_examples=20, deadline=None)
 def test_classification_idempotent_and_partitioned(seed):
     g = random_txgraph(seed, swap_rate=0.3)
-    before = [(e.pattern, e.counter_tokens) for e in g.edges]
-    classify_patterns(g)
-    assert [(e.pattern, e.counter_tokens) for e in g.edges] == before
+    rng = random.Random(seed)
+    for u in sorted(g.nodes):
+        edges = g.incident_edges(u)
+        tags = classify_patterns(u, edges)
+        rng.shuffle(edges)
+        assert classify_patterns(u, edges) == tags
     for e in g.edges:
-        assert e.pattern in (Pattern.XFER, Pattern.SWAP)
-        if e.pattern is Pattern.SWAP:
-            assert e.counter_tokens
-            assert e.token not in e.counter_tokens
+        assert g.pattern(e) in (Pattern.XFER, Pattern.SWAP)
+        if g.pattern(e) is Pattern.SWAP:
+            counters = [g.counter_tokens(u, e) for u in (e.src, e.tgt)]
+            assert any(counters)
+            assert all(e.token not in c for c in counters)
 
 
 @given(seed=st.integers(0, 500))
@@ -192,8 +221,8 @@ def test_swap_symmetry(seed):
     g = random_txgraph(seed, swap_rate=0.4)
     for u in g.nodes:
         for e in g.out_edges(u):
-            if e.pattern is not Pattern.SWAP:
+            if not g.counter_tokens(u, e):
                 continue
             partners = [o for o in g.in_edges(u)
                         if o.hash == e.hash and o.token != e.token]
-            assert any(o.pattern is Pattern.SWAP for o in partners)
+            assert any(g.counter_tokens(u, o) for o in partners)
