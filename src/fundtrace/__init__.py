@@ -8,14 +8,14 @@ from .graph import (Pattern, TransactionGraph, TransferEdge,
 from .metrics import recall, topn_recall, tracing_depth
 from .providers import FileProvider, GraphProvider, HttpProvider
 from .runner import RunConfig, run_case_graph, run_method
-from .ttr import TraceParams, init_trace, local_push
+from .ttr import TraceParams, local_push
 
 __all__ = [
     "CaseSpec", "Community", "FileProvider", "GraphProvider",
     "HttpProvider", "Pattern", "PlantedCase", "RunConfig", "TraceParams",
     "TraceResult", "TransactionGraph", "TransferEdge", "classify_patterns",
     "conductance", "extract_community", "generate_planted_case",
-    "ingest_records", "init_trace", "load_graph", "local_push", "recall",
+    "ingest_records", "load_graph", "local_push", "recall",
     "run_case_graph", "run_expansion", "run_method", "topn_recall",
     "tracing_depth",
 ]

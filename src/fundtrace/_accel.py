@@ -1,113 +1,8 @@
-"""Classic local-push kernel over a CSR adjacency.
+"""Kept only because ``bench/run.py`` reads this flag for its ``context``
+line.
 
-The kernel is the one hot numeric loop in the package, so it carries a
-numba-compiled variant with a pure-numpy/python fallback. Selection:
-FUNDTRACE_NO_NUMBA=1 forces the fallback; otherwise numba is used when
-importable. Both paths run the identical FIFO schedule and produce
-bit-identical results.
+The classic push has one pure-Python implementation,
+``baselines.appr_rank``; no compiled kernel exists and nothing in the
+package imports this module.
 """
-from __future__ import annotations
-
-import os
-from collections import deque
-
-import numpy as np
-
-USE_NUMBA = os.environ.get("FUNDTRACE_NO_NUMBA", "") not in ("1", "true", "yes")
-
-if USE_NUMBA:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover
-        USE_NUMBA = False
-
-
-def _push_py(indptr: np.ndarray, indices: np.ndarray,
-             alpha: float, epsilon: float, source: int
-             ) -> tuple[np.ndarray, np.ndarray]:
-    n = indptr.shape[0] - 1
-    p = np.zeros(n, dtype=np.float64)
-    r = np.zeros(n, dtype=np.float64)
-    r[source] = 1.0
-    queue = deque([source])
-    queued = np.zeros(n, dtype=np.bool_)
-    queued[source] = True
-    while queue:
-        u = queue.popleft()
-        queued[u] = False
-        res = r[u]
-        if res < epsilon:
-            continue
-        p[u] += alpha * res
-        r[u] = 0.0
-        start, end = indptr[u], indptr[u + 1]
-        degree = end - start
-        if degree == 0:
-            # Dangling node: the forwarded share self-loops.
-            r[u] = (1.0 - alpha) * res
-            if r[u] >= epsilon and not queued[u]:
-                queue.append(u)
-                queued[u] = True
-            continue
-        share = (1.0 - alpha) * res / degree
-        for i in range(start, end):
-            v = indices[i]
-            r[v] += share
-            if r[v] >= epsilon and not queued[v]:
-                queue.append(v)
-                queued[v] = True
-    return p, r
-
-
-if USE_NUMBA:
-
-    @njit(cache=True)
-    def _push_nb(indptr, indices, alpha, epsilon, source):  # pragma: no cover
-        n = indptr.shape[0] - 1
-        p = np.zeros(n, dtype=np.float64)
-        r = np.zeros(n, dtype=np.float64)
-        r[source] = 1.0
-        queue = np.empty(max(16, 4 * n), dtype=np.int64)
-        head, tail = 0, 0
-        queue[tail] = source
-        tail += 1
-        queued = np.zeros(n, dtype=np.bool_)
-        queued[source] = True
-        cap = queue.shape[0]
-        while head != tail:
-            u = queue[head]
-            head = (head + 1) % cap
-            queued[u] = False
-            res = r[u]
-            if res < epsilon:
-                continue
-            p[u] += alpha * res
-            r[u] = 0.0
-            start, end = indptr[u], indptr[u + 1]
-            degree = end - start
-            if degree == 0:
-                r[u] = (1.0 - alpha) * res
-                if r[u] >= epsilon and not queued[u]:
-                    queue[tail] = u
-                    tail = (tail + 1) % cap
-                    queued[u] = True
-                continue
-            share = (1.0 - alpha) * res / degree
-            for i in range(start, end):
-                v = indices[i]
-                r[v] += share
-                if r[v] >= epsilon and not queued[v]:
-                    queue[tail] = v
-                    tail = (tail + 1) % cap
-                    queued[v] = True
-        return p, r
-
-
-def push_kernel(indptr: np.ndarray, indices: np.ndarray, alpha: float,
-                epsilon: float, source: int) -> tuple[np.ndarray, np.ndarray]:
-    indptr = np.ascontiguousarray(indptr, dtype=np.int64)
-    indices = np.ascontiguousarray(indices, dtype=np.int64)
-    if USE_NUMBA:
-        return _push_nb(indptr, indices, float(alpha), float(epsilon),
-                        int(source))
-    return _push_py(indptr, indices, alpha, epsilon, source)
+USE_NUMBA = False

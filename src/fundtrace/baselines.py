@@ -9,11 +9,11 @@ reason about time on account graphs.
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._accel import push_kernel
 from .graph import TransactionGraph, TransferEdge
 
 
@@ -130,35 +130,44 @@ def haircut_trace(graph: TransactionGraph, source: str,
     return TaintResult(sub, taint, held)
 
 
-def _index_graph(graph: TransactionGraph, source: str
-                 ) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """CSR over the graph's nodes plus source, with edge multiplicity
-    kept."""
-    nodes = sorted(graph.nodes | {source})
-    idx = {u: i for i, u in enumerate(nodes)}
-    indptr = np.zeros(len(nodes) + 1, dtype=np.int64)
-    cols: list[int] = []
-    for i, u in enumerate(nodes):
-        targets = sorted(idx[e.tgt] for e in graph.out_edges(u))
-        cols.extend(targets)
-        indptr[i + 1] = len(cols)
-    return nodes, indptr, np.asarray(cols, dtype=np.int64)
-
-
 def appr_rank(graph: TransactionGraph, source: str, alpha: float = 0.15,
               epsilon: float = 1e-3
               ) -> tuple[dict[str, float], dict[str, float]]:
     """Classic local push ignoring amounts, timestamps, and tokens.
 
-    Degree is the out-degree with multiplicity; dangling nodes behave as
-    a self-loop so mass stays accounted. Every residual is below epsilon
-    on return.
+    FIFO schedule from {source: 1.0}. Degree is the out-degree with
+    multiplicity; dangling nodes (and a source outside the graph) behave
+    as a self-loop so mass stays accounted. Every residual is below
+    epsilon on return; only non-zero entries are returned.
     """
-    nodes, indptr, indices = _index_graph(graph, source)
-    p, r = push_kernel(indptr, indices, alpha, epsilon, nodes.index(source))
-    rank = {nodes[i]: float(p[i]) for i in np.nonzero(p)[0]}
-    residual = {nodes[i]: float(r[i]) for i in np.nonzero(r)[0]}
-    return rank, residual
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0,1), got {alpha}")
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError(f"epsilon must be in (0,1), got {epsilon}")
+    rank: dict[str, float] = {}
+    residual = {source: 1.0}
+    targets: dict[str, list[str]] = {}
+    queue = deque([source])
+    queued = {source}
+    while queue:
+        u = queue.popleft()
+        queued.discard(u)
+        res = residual[u]
+        if res < epsilon:
+            continue
+        rank[u] = rank.get(u, 0.0) + alpha * res
+        residual[u] = 0.0
+        out = targets.get(u)
+        if out is None:
+            out = targets[u] = sorted(e.tgt for e in graph.out_edges(u)) or [u]
+        share = (1.0 - alpha) * res / len(out)
+        for v in out:
+            residual[v] = residual.get(v, 0.0) + share
+            if residual[v] >= epsilon and v not in queued:
+                queue.append(v)
+                queued.add(v)
+    return ({u: p for u, p in rank.items() if p},
+            {u: r for u, r in residual.items() if r})
 
 
 def exact_ppr(graph: TransactionGraph, source: str, alpha: float = 0.15

@@ -61,6 +61,9 @@ def extract_community(graph: TransactionGraph, rank: dict[str, float],
     bound: set[str] = {e.tgt for e in graph.out_edges(source)
                        if e.tgt != source}
     bound_mass = sum(rank.get(v, 0.0) for v in sorted(bound))
+    # Boundary nodes holding rank: at zero the mass is exactly zero,
+    # whatever rounding the running subtraction left behind.
+    ranked = sum(rank.get(v, 0.0) > 0.0 for v in bound)
 
     # Outside candidates ordered by descending rank, lexicographic ties.
     outside = sorted((v for v in graph.nodes if v != source),
@@ -82,12 +85,14 @@ def extract_community(graph: TransactionGraph, rank: dict[str, float],
         if v in bound:
             bound.discard(v)
             bound_mass -= rank.get(v, 0.0)
+            ranked -= rank.get(v, 0.0) > 0.0
         for e in graph.out_edges(v):
             if e.tgt not in member_set and e.tgt not in bound:
                 bound.add(e.tgt)
                 bound_mass += rank.get(e.tgt, 0.0)
-        if not bound:
-            bound_mass = 0.0  # keep the empty boundary exactly zero
+                ranked += rank.get(e.tgt, 0.0) > 0.0
+        if not ranked:
+            bound_mass = 0.0
         phi_now = bound_mass / interior
         sweep.append(phi_now)
 

@@ -16,7 +16,8 @@ from typing import Callable
 
 from .graph import TransactionGraph, TransferEdge
 from .providers import EdgeProvider, ProviderError
-from .ttr import PushStats, ResidualLedger, TraceParams, init_trace, local_push
+from .ttr import (ANY_TOKEN, SEED_TS, PushStats, ResidualLedger, TraceParams,
+                  local_push)
 
 TERM_CONVERGED = "residuals-below-epsilon"
 TERM_BUDGET = "budget-exhausted"
@@ -95,7 +96,9 @@ def run_expansion(source: str, provider: EdgeProvider, params: TraceParams,
     which a correct push never does.
     """
     params.validate()
-    rank, ledger = init_trace(source, params)
+    rank: dict[str, float] = {}
+    ledger = ResidualLedger()
+    ledger.add(source, SEED_TS, ANY_TOKEN, 1.0)
     stats = PushStats()
     cache = _EdgeCache(provider, hub_cap)
     pop_bound = math.ceil(1.0 / (params.epsilon * params.alpha))

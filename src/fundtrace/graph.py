@@ -128,21 +128,22 @@ class TransactionGraph:
         if not lst:
             return []
         ts = self._out_ts[node]
-        start = 0 if bound == float("-inf") else bisect_right(ts, bound)
-        picked = lst[start:]
+        picked = lst[bisect_right(ts, bound):]
         if token is not None:
             picked = [e for e in picked if e.token == token]
         return picked
 
     def edges_before(self, node: str, bound: float,
                      token: str | None = None) -> list[TransferEdge]:
-        """Incoming edges of node strictly before the bound timestamp."""
+        """Incoming edges of node strictly before the bound timestamp.
+
+        The bound may be +inf (all edges match).
+        """
         lst = self._in.get(node)
         if not lst:
             return []
         ts = self._in_ts[node]
-        end = len(lst) if bound == float("inf") else bisect_left(ts, bound)
-        picked = lst[:end]
+        picked = lst[:bisect_left(ts, bound)]
         if token is not None:
             picked = [e for e in picked if e.token == token]
         return picked

@@ -92,15 +92,6 @@ class ResidualLedger:
         return sum(len(keys) for keys in self._entries.values())
 
 
-def init_trace(source: str, params: TraceParams
-               ) -> tuple[dict[str, float], ResidualLedger]:
-    params.validate()
-    rank: dict[str, float] = {}
-    ledger = ResidualLedger()
-    ledger.add(source, SEED_TS, ANY_TOKEN, 1.0)
-    return rank, ledger
-
-
 def redirect_set(edge: TransferEdge, graph: TransactionGraph, node: str,
                  direction: str) -> list[TransferEdge]:
     """Resolve an edge to the edges that actually carry its token flow.

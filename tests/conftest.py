@@ -3,6 +3,7 @@ import random
 import pytest
 
 from fundtrace.graph import TransactionGraph, TransferEdge
+from fundtrace.ttr import ANY_TOKEN, SEED_TS, ResidualLedger
 
 
 def build_graph(rows):
@@ -17,6 +18,14 @@ FIG_SWAP_ROWS = [
     ("u", "x", 0.03, 30, "ETH", "h3"),
     ("u", "y", 0.02, 40, "ETH", "h4"),
 ]
+
+
+def seeded_trace(source):
+    """An empty rank and a ledger holding the unit seed at ``source``:
+    the state ``run_expansion`` starts its loop from."""
+    ledger = ResidualLedger()
+    ledger.add(source, SEED_TS, ANY_TOKEN, 1.0)
+    return {}, ledger
 
 
 @pytest.fixture

@@ -168,10 +168,22 @@ class TestAppr:
     def test_linearity_identity_against_dense_solve(self):
         # p_s(v) = phat_s(v) + sum_u r(u) p_u(v), exact for any residual
         rng = random.Random(5)
+        graphs = []
         for seed in range(10):
             n = rng.randint(4, 20)
             g = random_txgraph(seed, n_nodes=n, n_edges=3 * n)
-            source = sorted(g.nodes)[0]
+            graphs.append((g, sorted(g.nodes)[0]))
+        # random_txgraph never draws a self-loop: add one, a doubled
+        # edge and a dangling node.
+        graphs.append((build_graph([
+            ("s", "a", 1.0, 1, "T", "h1"),
+            ("s", "a", 1.0, 2, "T", "h2"),
+            ("s", "b", 1.0, 3, "T", "h3"),
+            ("a", "a", 1.0, 4, "T", "h4"),
+            ("a", "s", 1.0, 5, "T", "h5"),
+            ("a", "c", 1.0, 6, "T", "h6"),
+        ]), "s"))
+        for g, source in graphs:
             rank, residual = appr_rank(g, source, alpha=0.15, epsilon=1e-3)
             exact = {u: exact_ppr(g, u, alpha=0.15) for u in
                      set(residual) | {source}}
@@ -189,6 +201,13 @@ class TestAppr:
         slack = sum(residual.values())
         for v, val in rank.items():
             assert val <= exact[v] + slack + 1e-12
+
+    def test_rejects_alpha_and_epsilon_outside_unit_interval(self):
+        g = build_graph([("a", "b", 1.0, 1, "T", "h1")])
+        with pytest.raises(ValueError, match="alpha"):
+            appr_rank(g, "a", alpha=1.5)
+        with pytest.raises(ValueError, match="epsilon"):
+            appr_rank(g, "a", epsilon=1.5)
 
 
 class TestExactPpr:
@@ -212,18 +231,3 @@ class TestExactPpr:
             for v in g.nodes:
                 assert got[v] == pytest.approx(want[v], abs=1e-9)
 
-
-def test_push_kernel_fallback_parity():
-    import numpy as np
-    from fundtrace import _accel
-    push_nb = getattr(_accel, "_push_nb", None)
-    if push_nb is None:
-        pytest.skip("compiled kernel unavailable")
-    for seed in range(5):
-        g = random_txgraph(seed, n_nodes=40, n_edges=160)
-        from fundtrace.baselines import _index_graph
-        _, indptr, indices = _index_graph(g, min(g.nodes))
-        p1, r1 = _accel._push_py(indptr, indices, 0.15, 1e-5, 0)
-        p2, r2 = push_nb(indptr, indices, 0.15, 1e-5, 0)
-        assert np.allclose(p1, p2, atol=1e-12)
-        assert np.allclose(r1, r2, atol=1e-12)

@@ -1,10 +1,11 @@
 import pytest
 
-from conftest import build_graph, random_txgraph
+from conftest import build_graph, multihop_swap_rows, random_txgraph
 from fundtrace.community import (boundary, conductance, extract_community,
                                  induced_subgraph)
 from fundtrace.expansion import run_expansion
 from fundtrace.providers import GraphProvider
+from fundtrace.runner import RunConfig, run_method
 from fundtrace.ttr import TraceParams
 
 
@@ -163,3 +164,12 @@ def test_boundary_directed_only():
         ("s", "b", 1.0, 2, "T", "h2"),
     ])
     assert boundary({"s"}, g) == {"b"}
+
+
+def test_zero_rank_boundary_has_exactly_zero_conductance():
+    # The boundary keeps unranked nodes after the last ranked one is
+    # absorbed; the running subtraction used to leave -2.5e-17 behind.
+    graph = build_graph(multihop_swap_rows(5, 12, 30, 20))
+    comm = run_method("n00", GraphProvider(graph), RunConfig()).community
+    assert comm.conductance == 0.0
+    assert all(step >= 0.0 for step in comm.sweep_conductances)

@@ -4,13 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_graph, multihop_swap_rows, random_txgraph
+from conftest import (build_graph, multihop_swap_rows, random_txgraph,
+                      seeded_trace)
 from fundtrace.expansion import (TERM_BUDGET, TERM_CONVERGED,
                                  TERM_PROVIDER_ERROR, _EdgeCache, pop,
                                  run_expansion)
 from fundtrace.providers import GraphProvider, ProviderError
-from fundtrace.ttr import (PushStats, ResidualLedger, TraceParams, init_trace,
-                           local_push)
+from fundtrace.ttr import PushStats, ResidualLedger, TraceParams, local_push
 
 
 class FailingProvider:
@@ -209,7 +209,7 @@ def full_graph_push(graph, source, params):
     """The pop/push loop over the prebuilt graph. A push reads only the
     pushing account's own edges, so a trace that fetches one account at a
     time must match it bit for bit."""
-    rank, ledger = init_trace(source, params)
+    rank, ledger = seeded_trace(source)
     stats = PushStats()
     while (node := pop(ledger, params.epsilon)) is not None:
         local_push(node, graph, params, rank, ledger, stats)

@@ -166,8 +166,11 @@ def test_edges_after_sentinel_wildcard_returns_all():
     g = build_graph([
         ("u", "a", 1.0, 1, "T1", "h1"),
         ("u", "b", 1.0, 3, "T2", "h2"),
+        ("c", "u", 1.0, 2, "T1", "h3"),
+        ("d", "u", 1.0, 4, "T2", "h4"),
     ])
     assert len(g.edges_after("u", float("-inf"), None)) == 2
+    assert len(g.edges_before("u", float("inf"), None)) == 2
 
 
 def test_edges_before_strict_inequality():

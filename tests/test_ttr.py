@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FIG_SWAP_ROWS, build_graph, random_txgraph
+from conftest import FIG_SWAP_ROWS, build_graph, random_txgraph, seeded_trace
 from fundtrace.graph import Pattern
+from fundtrace.expansion import TERM_BUDGET, run_expansion
+from fundtrace.providers import GraphProvider
 from fundtrace.ttr import (ANY_TOKEN, SEED_TS, PushStats, ResidualLedger,
-                           TraceParams, init_trace, local_push, redirect_set)
+                           TraceParams, local_push, redirect_set)
 from oracle import naive_push_once, naive_redirect
 
 
@@ -29,22 +31,33 @@ def test_params_defaults_and_validation():
         TraceParams(phi=0.0).validate()
 
 
+def start_trace(source):
+    """A trace stopped before its first pop: only the seed is in place."""
+    provider = GraphProvider(build_graph([("a", "b", 1.0, 1, "T", "h1")]))
+    result = run_expansion(source, provider, TraceParams(), max_iterations=0)
+    assert result.termination == TERM_BUDGET
+    return result.rank, result.ledger
+
+
 def test_init_trace():
-    rank, ledger = init_trace("a", TraceParams())
+    rank, ledger = start_trace("a")
     assert rank == {}
     assert list(ledger.items()) == [("a", SEED_TS, ANY_TOKEN, 1.0)]
     assert abs(total_mass(rank, ledger) - 1.0) < 1e-12
+    with pytest.raises(ValueError):
+        run_expansion("a", GraphProvider(build_graph([])),
+                      TraceParams(alpha=0.0))
 
 
 def test_init_traces_independent():
-    _, l1 = init_trace("a", TraceParams())
-    _, l2 = init_trace("b", TraceParams())
+    _, l1 = start_trace("a")
+    _, l2 = start_trace("b")
     assert l1.node_total("a") == 1.0
     assert l2.node_total("a") == 0.0
 
 
 def test_node_total():
-    rank, ledger = init_trace("s", TraceParams())
+    rank, ledger = seeded_trace("s")
     assert ledger.node_total("s") == 1.0
     assert ledger.node_total("absent") == 0.0
 
@@ -52,7 +65,7 @@ def test_node_total():
 def test_single_edge_hand_computation():
     g = build_graph([("s", "v", 10.0, 1, "T", "h1")])
     params = TraceParams(alpha=0.15, beta=0.7)
-    rank, ledger = init_trace("s", params)
+    rank, ledger = seeded_trace("s")
     local_push("s", g, params, rank, ledger)
     assert rank["s"] == pytest.approx(0.15, abs=1e-12)
     assert ledger.node_entries("v") == pytest.approx({(1, "T"): 0.595})
@@ -63,7 +76,7 @@ def test_single_edge_hand_computation():
 def test_single_edge_matches_naive_simulator():
     g = build_graph([("s", "v", 10.0, 1, "T", "h1")])
     params = TraceParams(alpha=0.15, beta=0.7)
-    rank, ledger = init_trace("s", params)
+    rank, ledger = seeded_trace("s")
     local_push("s", g, params, rank, ledger)
 
     o_rank, o_res = {}, {("s", SEED_TS, ANY_TOKEN): 1.0}
@@ -79,7 +92,7 @@ def test_weighted_pollution_splits_by_amount():
         ("s", "b", 10.0, 6, "T", "h2"),
     ])
     params = TraceParams(alpha=0.15, beta=0.7)
-    rank, ledger = init_trace("s", params)
+    rank, ledger = seeded_trace("s")
     local_push("s", g, params, rank, ledger)
     assert ledger.node_total("a") == pytest.approx(3 * ledger.node_total("b"))
 
@@ -103,7 +116,7 @@ def test_temporal_guard_self_accumulates():
 def test_zero_residual_push_is_noop():
     g = build_graph([("s", "v", 1.0, 1, "T", "h1")])
     params = TraceParams()
-    rank, ledger = init_trace("s", params)
+    rank, ledger = seeded_trace("s")
     local_push("v", g, params, rank, ledger)
     assert rank == {}
     assert ledger.node_total("s") == 1.0
@@ -115,7 +128,7 @@ def test_zero_amount_edges_split_equally():
         ("s", "b", 0.0, 6, "T", "h2"),
     ])
     params = TraceParams(alpha=0.15, beta=0.7)
-    rank, ledger = init_trace("s", params)
+    rank, ledger = seeded_trace("s")
     local_push("s", g, params, rank, ledger)
     assert ledger.node_total("a") == pytest.approx(ledger.node_total("b"))
     assert total_mass(rank, ledger) == pytest.approx(1.0, abs=1e-12)
@@ -192,7 +205,7 @@ def test_push_invariants_random_graphs(seed, steps):
     g = random_txgraph(seed, n_nodes=15, n_edges=50, swap_rate=0.3)
     params = TraceParams(alpha=0.15, beta=0.7, epsilon=1e-6)
     source = sorted(g.nodes)[0]
-    rank, ledger = init_trace(source, params)
+    rank, ledger = seeded_trace(source)
     stats = PushStats()
     prev_rank: dict = {}
     prev_total = 1.0
@@ -220,7 +233,7 @@ def test_push_matches_naive_on_random_graphs():
         g = random_txgraph(seed, n_nodes=12, n_edges=40, swap_rate=0.3)
         params = TraceParams(alpha=0.15, beta=0.7, epsilon=1e-6)
         source = sorted(g.nodes)[0]
-        rank, ledger = init_trace(source, params)
+        rank, ledger = seeded_trace(source)
         o_rank, o_res = {}, {(source, SEED_TS, ANY_TOKEN): 1.0}
         for _ in range(8):
             best = ledger.max_node()
@@ -256,7 +269,7 @@ def test_seed_key_only_pushes_outgoing():
         ("s", "b", 10.0, 15, "T", "h2"),
     ])
     params = TraceParams(alpha=0.15, beta=0.7)
-    rank, ledger = init_trace("s", params)
+    rank, ledger = seeded_trace("s")
     local_push("s", g, params, rank, ledger)
     # incoming edge gets nothing from the seed key; the (1-beta) share
     # self-returns on the sentinel
