@@ -10,6 +10,7 @@ grows.
 """
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -22,6 +23,11 @@ from .ttr import (ANY_TOKEN, SEED_TS, PushStats, ResidualLedger, TraceParams,
 TERM_CONVERGED = "residuals-below-epsilon"
 TERM_BUDGET = "budget-exhausted"
 TERM_PROVIDER_ERROR = "provider-error"
+
+# Largest |rank + residual + dropped - 1| a finished trace may show.
+MASS_TOLERANCE = 1e-9
+
+log = logging.getLogger("fundtrace")
 
 
 @dataclass
@@ -90,10 +96,12 @@ def run_expansion(source: str, provider: EdgeProvider, params: TraceParams,
                   on_iteration: Callable[[dict[str, float], ResidualLedger, float], None] | None = None,
                   ) -> TraceResult:
     """Trace from ``source`` until convergence, ``max_iterations`` pops,
-    or a provider error.
+    or a provider error. A provider error on the source's own fetch is
+    raised, since nothing has been traced yet.
 
     Raises RuntimeError if the pop count passes the 1/(eps*alpha) bound,
-    which a correct push never does.
+    or if rank, residual and dropped mass do not sum to 1 when the loop
+    ends; a correct push does neither.
     """
     params.validate()
     rank: dict[str, float] = {}
@@ -114,7 +122,10 @@ def run_expansion(source: str, provider: EdgeProvider, params: TraceParams,
             break
         try:
             graph = cache.expand(node)
-        except ProviderError:
+        except ProviderError as exc:
+            if iterations == 0:
+                raise
+            log.warning("expansion stopped at %s: %s", node, exc)
             termination = TERM_PROVIDER_ERROR
             break
         local_push(node, graph, params, rank, ledger, stats)
@@ -125,6 +136,11 @@ def run_expansion(source: str, provider: EdgeProvider, params: TraceParams,
         if on_iteration is not None:
             on_iteration(rank, ledger, stats.dropped_mass)
 
+    mass = sum(rank.values()) + ledger.total() + stats.dropped_mass
+    if abs(mass - 1.0) > MASS_TOLERANCE:
+        raise RuntimeError(
+            f"mass identity off by {mass - 1.0:.3e}: rank + residual + "
+            f"dropped must sum to 1")
     subgraph = TransactionGraph(cache.merged_edges(), (source,))
     return TraceResult(subgraph=subgraph, rank=rank, ledger=ledger,
                        params=params, iterations=iterations,

@@ -83,6 +83,9 @@ class TransactionGraph:
             self._in_ts[node] = [e.timestamp for e in lst]
         self.nodes.update(nodes)
         self._counter: dict[str, dict[TransferEdge, frozenset[str]]] = {}
+        # ttr.redirect_set results, keyed by (node, edge, direction).
+        self._redirect: dict[tuple[str, TransferEdge, str],
+                             list[TransferEdge]] = {}
 
     def __len__(self) -> int:
         return len(self.nodes)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import os
 import time
 from pathlib import Path
@@ -18,6 +19,8 @@ import requests
 from .graph import IngestError, TransferEdge, _parse_record, load_graph
 
 API_KEY_ENV = "FUNDTRACE_API_KEY"
+
+log = logging.getLogger("fundtrace")
 
 
 class ProviderError(RuntimeError):
@@ -84,10 +87,31 @@ class HttpProvider:
         digest = hashlib.sha256(f"{account}:{action}".encode()).hexdigest()[:24]
         return self.cache_dir / f"{action}_{digest}.json"
 
+    @staticmethod
+    def _read_cache(path: Path) -> list[dict]:
+        try:
+            result = json.loads(path.read_text())
+        except (OSError, ValueError) as exc:
+            raise ProviderError(f"unreadable cache file {path}: {exc}") from exc
+        if not isinstance(result, list):
+            raise ProviderError(f"cache file {path} does not hold a JSON list")
+        return result
+
+    @staticmethod
+    def _write_cache(path: Path, result: list[dict]) -> None:
+        """Write through a temporary file, so that a crash mid-write never
+        leaves a truncated cache file behind."""
+        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+        try:
+            tmp.write_text(json.dumps(result, sort_keys=True))
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
+
     def _request(self, account: str, action: str) -> list[dict]:
         cache = self._cache_path(account, action)
         if cache is not None and cache.exists():
-            return json.loads(cache.read_text())
+            return self._read_cache(cache)
         params = {
             "module": "account",
             "action": action,
@@ -96,7 +120,13 @@ class HttpProvider:
             "apikey": self.api_key,
         }
         last_error: Exception | None = None
-        for attempt in range(self.RETRIES):
+        for attempt in range(1, self.RETRIES + 1):
+            if last_error is not None:
+                backoff = self.BACKOFF * 2 ** (attempt - 2)
+                log.warning("%s for %s: attempt %d of %d failed (%s); "
+                            "retrying in %.1f s", action, account, attempt - 1,
+                            self.RETRIES, last_error, backoff)
+                time.sleep(backoff)
             wait = self.pacing - (time.monotonic() - self._last_request)
             if wait > 0:
                 time.sleep(wait)
@@ -108,21 +138,19 @@ class HttpProvider:
                 payload = resp.json()
             except (requests.RequestException, ValueError) as exc:
                 last_error = exc
-                time.sleep(self.BACKOFF * 2 ** attempt)
                 continue
             result = payload.get("result")
             if not isinstance(result, list):
                 # "No transactions found" comes back as status 0.
-                if str(payload.get("status")) == "0":
-                    result = []
-                else:
+                if str(payload.get("status")) != "0":
                     last_error = ProviderError(f"bad response: {payload}")
-                    time.sleep(self.BACKOFF * 2 ** attempt)
                     continue
+                result = []
             if cache is not None:
-                cache.write_text(json.dumps(result, sort_keys=True))
+                self._write_cache(cache, result)
             return result
-        raise ProviderError(f"{action} failed for {account}: {last_error}")
+        raise ProviderError(f"{action} failed for {account} after "
+                            f"{self.RETRIES} attempts: {last_error}")
 
     def fetch_edges(self, account: str) -> list[TransferEdge]:
         edges: list[TransferEdge] = []

@@ -10,7 +10,8 @@ exchanged token.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Iterator
 
 from .graph import TransactionGraph, TransferEdge
 
@@ -18,8 +19,6 @@ from .graph import TransactionGraph, TransferEdge
 SEED_TS = float("-inf")
 # Wildcard token on the seed key.
 ANY_TOKEN = None
-
-MAX_REDIRECT_DEPTH = 32
 
 
 @dataclass(frozen=True)
@@ -96,24 +95,46 @@ def redirect_set(edge: TransferEdge, graph: TransactionGraph, node: str,
                  direction: str) -> list[TransferEdge]:
     """Resolve an edge to the edges that actually carry its token flow.
 
-    A transfer leg at ``node`` maps to itself. An exchange leg maps to
-    the edges of its counter tokens at ``node`` on the same side: later
-    edges for the outgoing side, earlier ones for the incoming side, never
-    from its own hash group. The recursion over chained exchanges is
-    guarded by a visited-hash set (a revisited leg is kept as terminal)
-    and a depth cap.
-    """
-    result: list[TransferEdge] = []
-    seen_ids: set[int] = set()
+    A transfer leg at ``node`` maps to itself. An exchange leg continues
+    into the edges of its counter tokens at ``node`` on the same side:
+    later edges for the outgoing side, earlier ones for the incoming side,
+    never from its own hash group. The result is the closure of that
+    continuation relation: the terminal legs reachable from ``edge``, in
+    the order a depth-first walk first reaches them. A leg is terminal
+    when it has no counter tokens at ``node``, or when its hash is already
+    on the walk's current path, which is where a swap cycle closes. The
+    walk expands each leg at most once, so it costs one adjacency lookup
+    per reachable exchange leg, whatever the chain length.
 
-    def walk(e: TransferEdge, visited: frozenset[str], depth: int) -> None:
+    A graph does not change once built, so the result is memoised on it
+    per (node, edge, direction). Callers must not mutate the list.
+    """
+    key = (node, edge, direction)
+    cached = graph._redirect.get(key)
+    if cached is not None:
+        return cached
+    result: list[TransferEdge] = []
+    reached: set[TransferEdge] = set()
+    expanded: set[TransferEdge] = set()
+    on_path: set[str] = set()
+    # (hash of the leg being expanded, its continuations still to visit)
+    stack: list[tuple[str | None, Iterator[TransferEdge]]] = [
+        (None, iter((edge,)))]
+    while stack:
+        e = next(stack[-1][1], None)
+        if e is None:
+            on_path.discard(stack.pop()[0])
+            continue
         counter = graph.counter_tokens(node, e)
-        if not counter or e.hash in visited or depth >= MAX_REDIRECT_DEPTH:
-            if id(e) not in seen_ids:
-                seen_ids.add(id(e))
+        if not counter or e.hash in on_path:
+            if e not in reached:
+                reached.add(e)
                 result.append(e)
-            return
-        visited = visited | {e.hash}
+            continue
+        if e in expanded:
+            continue
+        expanded.add(e)
+        on_path.add(e.hash)
         if direction == "out":
             candidates = graph.edges_after(node, e.timestamp - 1)
             candidates = [c for c in candidates
@@ -126,10 +147,8 @@ def redirect_set(edge: TransferEdge, graph: TransactionGraph, node: str,
                           if c.timestamp <= e.timestamp
                           and c.token in counter
                           and c.hash != e.hash]
-        for c in candidates:
-            walk(c, visited, depth + 1)
-
-    walk(edge, frozenset(), 0)
+        stack.append((e.hash, iter(candidates)))
+    graph._redirect[key] = result
     return result
 
 

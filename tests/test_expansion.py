@@ -145,15 +145,23 @@ def test_budget_exhaustion_partial_result():
     assert result.iterations == 3
 
 
-def test_provider_error_preserves_partial_result():
+def test_provider_error_preserves_partial_result(caplog):
     g = build_graph([
         ("a", "b", 10.0, 1, "T", "h1"),
         ("b", "c", 5.0, 2, "T", "h2"),
     ])
-    result = run_expansion("a", FailingProvider(g, fail_after=1),
-                           TraceParams())
+    with caplog.at_level("WARNING", logger="fundtrace"):
+        result = run_expansion("a", FailingProvider(g, fail_after=1),
+                               TraceParams())
     assert result.termination == TERM_PROVIDER_ERROR
     assert result.rank.get("a", 0.0) > 0
+    assert "expansion stopped at b: boom" in caplog.text
+
+
+def test_provider_error_on_the_source_is_raised():
+    g = build_graph([("a", "b", 10.0, 1, "T", "h1")])
+    with pytest.raises(ProviderError, match="boom"):
+        run_expansion("a", FailingProvider(g, fail_after=0), TraceParams())
 
 
 def test_subgraph_soundness_and_connectivity():
@@ -303,3 +311,33 @@ def test_pop_bound_enforced_under_optimize():
                           text=True, timeout=60)
     assert proc.returncode == 1, proc.stderr
     assert "RuntimeError: pop count 68 exceeded 1/(eps*alpha) bound 67" in proc.stderr
+
+
+MASS_CHECK_SCRIPT = """
+import sys
+from fundtrace.expansion import run_expansion
+from fundtrace.providers import GraphProvider
+from fundtrace.graph import TransactionGraph, TransferEdge
+from fundtrace.ttr import TraceParams
+if __debug__:
+    sys.exit("asserts are on: run this under python -O")
+graph = TransactionGraph([TransferEdge("s", "v", 1.0, 1, "T", "h1")])
+# Mass that no push made, below epsilon so that it is never popped.
+run_expansion("s", GraphProvider(graph), TraceParams(),
+              on_iteration=lambda rank, ledger, dropped:
+                  ledger.add("elsewhere", 1, "T", 1e-6))
+"""
+
+
+def test_mass_identity_enforced_under_optimize():
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import fundtrace
+    src = str(Path(fundtrace.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", MASS_CHECK_SCRIPT],
+                          env={"PYTHONPATH": src}, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 1, proc.stderr
+    assert "RuntimeError: mass identity off by" in proc.stderr

@@ -108,6 +108,27 @@ class TestHttpProvider:
             provider.fetch_edges("a")
         assert session.requests.count(("a", "txlist")) == HttpProvider.RETRIES
 
+    def test_backoff_only_between_attempts(self, monkeypatch, caplog):
+        import requests
+
+        class DeadSession:
+            def get(self, url, params=None, timeout=None):
+                raise requests.ConnectionError("connection refused")
+
+        sleeps = []
+        monkeypatch.setattr("fundtrace.providers.time.sleep", sleeps.append)
+        provider = HttpProvider("https://api.example/api",
+                                session=DeadSession(), pacing=0.0)
+        with caplog.at_level("WARNING", logger="fundtrace"):
+            with pytest.raises(ProviderError, match="after 3 attempts"):
+                provider.fetch_edges("a")
+        assert provider.calls == HttpProvider.RETRIES == 3
+        assert sleeps == [1.0, 2.0]
+        retries = [r for r in caplog.records if r.levelname == "WARNING"]
+        assert len(retries) >= 2
+        assert "attempt 1 of 3" in retries[0].getMessage()
+        assert "connection refused" in retries[0].getMessage()
+
     def test_status_zero_means_empty(self):
         script = {("a", "txlist"): [FakeResponse({"status": "0",
                                                   "result": "No transactions found"})],
@@ -138,9 +159,41 @@ class TestHttpProvider:
         provider.fetch_edges("a")
         files = sorted(tmp_path.glob("*.json"))
         assert len(files) == 2
+        # written through a temporary file, which is gone afterwards
+        assert sorted(tmp_path.iterdir()) == files
         for f in files:
             data = json.loads(f.read_text())
             assert f.read_text() == json.dumps(data, sort_keys=True)
+
+    def test_truncated_cache_file_is_a_provider_error(self, tmp_path,
+                                                      monkeypatch):
+        from click.testing import CliRunner
+
+        import fundtrace.cli as cli_mod
+
+        script = {("a", "txlist"): [ok([record("a", "b", 5, 10, h="0x1")])],
+                  ("a", "tokentx"): [ok([])]}
+        provider, _ = make_provider(script, tmp_path)
+        provider.fetch_edges("a")
+        [txlist] = tmp_path.glob("txlist_*.json")
+        txlist.write_bytes(txlist.read_bytes()[:10])
+
+        sessions = []
+
+        def offline_http(base_url, **kwargs):
+            provider, session = make_provider({}, tmp_path)
+            sessions.append(session)
+            return provider
+
+        monkeypatch.setattr(cli_mod, "HttpProvider", offline_http)
+        res = CliRunner().invoke(cli_mod.main, [
+            "trace", "--source", "a", "--provider", "https://api.example/api",
+            "--cache-dir", str(tmp_path), "--out", str(tmp_path / "out.json")])
+        assert res.exit_code == cli_mod.EXIT_PROVIDER, res.output
+        err = json.loads(res.stderr.strip().splitlines()[-1])
+        assert err["error"] == "provider-error"
+        assert str(txlist) in err["message"]
+        assert sessions[0].requests == []
 
     def test_api_key_from_environment(self, monkeypatch):
         monkeypatch.setenv(API_KEY_ENV, "secret")

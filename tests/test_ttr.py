@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -194,9 +195,51 @@ def test_redirect_matches_naive_on_random_swap_graphs():
             for direction, edges in (("out", g.out_edges(u)),
                                      ("in", g.in_edges(u))):
                 for e in edges:
-                    got = {id(x) for x in redirect_set(e, g, u, direction)}
+                    first = redirect_set(e, g, u, direction)
+                    got = {id(x) for x in first}
                     want = {id(x) for x in naive_redirect(e, g.edges, direction)}
                     assert got == want
+                    # the memoised answer repeats the first, in order
+                    assert redirect_set(e, g, u, direction) == first
+
+
+
+def swap_bot_chain(k):
+    """A bot funded in usdc that swaps usdc<->weth k times with a DEX, one
+    hash per swap, then spends what it holds in three transfers."""
+    rows = [("src", "bot", 500.0, 1_000, "usdc", "h0")]
+    held, ts = "usdc", 1_010
+    for i in range(k):
+        other = "weth" if held == "usdc" else "usdc"
+        rows.append(("bot", "dex", 1.0, ts, held, f"w{i}"))
+        rows.append(("dex", "bot", 1.0, ts, other, f"w{i}"))
+        held, ts = other, ts + 10
+    rows += [("bot", f"out{m}", 1.0, ts + m, held, f"o{m}") for m in range(3)]
+    graph = build_graph(rows)
+    first_swap = [e for e in graph.out_edges("bot") if e.hash == "w0"][0]
+    return graph, first_swap
+
+
+def test_redirect_swap_chain_costs_one_lookup_per_leg(monkeypatch):
+    k = 40
+    g, swap = swap_bot_chain(k)
+    calls = []
+    edges_after = g.edges_after
+    monkeypatch.setattr(g, "edges_after",
+                        lambda *args: calls.append(args) or edges_after(*args))
+    start = time.perf_counter()
+    routed = redirect_set(swap, g, "bot", "out")
+    elapsed = time.perf_counter() - start
+    assert [e.hash for e in routed] == ["o0", "o1", "o2"]
+    assert len(calls) <= k + 1
+    assert elapsed < 0.05
+
+
+def test_redirect_long_swap_chain_needs_no_recursion():
+    g, swap = swap_bot_chain(2_000)
+    routed = redirect_set(swap, g, "bot", "out")
+    # far past any recursion limit, and the chain's real continuation
+    assert [e.hash for e in routed] == ["o0", "o1", "o2"]
 
 
 @given(seed=st.integers(0, 300), steps=st.integers(1, 15))
