@@ -1,6 +1,5 @@
-"""Reference tracing methods: BFS, boolean and proportional taint, the
-classic degree-normalized local push, and a dense exact solver used as a
-test oracle.
+"""Reference tracing methods: BFS, boolean and proportional taint, and
+the classic degree-normalized local push.
 
 The taint methods keep a temporal guard: taint never travels along an
 edge dated before its source became dirty, matching how the rank methods
@@ -11,8 +10,6 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass
-
-import numpy as np
 
 from .graph import TransactionGraph, TransferEdge
 
@@ -169,29 +166,3 @@ def appr_rank(graph: TransactionGraph, source: str, alpha: float = 0.15,
     return ({u: p for u, p in rank.items() if p},
             {u: r for u, r in residual.items() if r})
 
-
-def exact_ppr(graph: TransactionGraph, source: str, alpha: float = 0.15
-              ) -> dict[str, float]:
-    """Dense solve of p = alpha*e + (1-alpha)*p*M with M = D^-1 A.
-
-    Test-scale oracle; dangling nodes get a self-loop, matching
-    appr_rank. The result sums to 1.
-    """
-    nodes = sorted(graph.nodes)
-    idx = {u: i for i, u in enumerate(nodes)}
-    n = len(nodes)
-    M = np.zeros((n, n), dtype=np.float64)
-    for i, u in enumerate(nodes):
-        out = graph.out_edges(u)
-        if not out:
-            M[i, i] = 1.0
-            continue
-        d = len(out)
-        for e in out:
-            M[i, idx[e.tgt]] += 1.0 / d
-    e_s = np.zeros(n)
-    e_s[idx[source]] = 1.0
-    # p (I - (1-alpha) M) = alpha e_s, solved on the transposed system.
-    A = np.eye(n) - (1.0 - alpha) * M
-    p = np.linalg.solve(A.T, alpha * e_s)
-    return {nodes[i]: float(p[i]) for i in range(n)}

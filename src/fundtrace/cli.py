@@ -7,6 +7,7 @@ gen-case — write a planted case spec (and optionally its edge file)
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import statistics
 import sys
@@ -26,6 +27,10 @@ EXIT_PROVIDER = 3
 EXIT_NOT_CONVERGED = 4
 
 TOPN_POINTS = [1, 5, 10, 25, 50, 100, 200]
+# trace's keys beyond RunConfig's fields, with their defaults.
+TRACE_DEFAULTS = {"source": None, "provider": None,
+                  "out": "trace_result.json", "format": "json",
+                  "chain_symbol": "ETH", "cache_dir": None}
 
 
 def _fail(code: int, kind: str, message: str):
@@ -36,7 +41,14 @@ def _fail(code: int, kind: str, message: str):
 def _load_config(config_path: str | None, overrides: dict) -> dict:
     merged: dict = {}
     if config_path:
-        merged.update(json.loads(Path(config_path).read_text()))
+        loaded = json.loads(Path(config_path).read_text())
+        if not isinstance(loaded, dict):
+            raise ValueError(f"{config_path}: not a JSON object")
+        unknown = sorted(set(loaded) - set(TRACE_DEFAULTS)
+                         - {f.name for f in dataclasses.fields(RunConfig)})
+        if unknown:
+            raise ValueError(f"{config_path}: unknown key {unknown[0]!r}")
+        merged.update(loaded)
     merged.update({k: v for k, v in overrides.items() if v is not None})
     return merged
 
@@ -57,7 +69,7 @@ def main():
 @main.command()
 @click.option("--method", type=click.Choice(METHODS), default=None)
 @click.option("--source", default=None)
-@click.option("--provider", "provider_spec", default=None,
+@click.option("--provider", default=None,
               help="Edge file path or Etherscan-compatible API base URL.")
 @click.option("--alpha", type=float, default=None)
 @click.option("--beta", type=float, default=None)
@@ -69,52 +81,34 @@ def main():
               help="ttr: maximum number of pops (at least 1).")
 @click.option("--hub-cap", type=int, default=None,
               help="ttr: edges kept per fetched account (at least 1).")
-@click.option("--out", "out_path", default=None)
-@click.option("--format", "out_format", type=click.Choice(["json", "graphml"]),
-              default=None)
+@click.option("--out", default=None)
+@click.option("--format", type=click.Choice(["json", "graphml"]), default=None)
 @click.option("--chain-symbol", default=None)
 @click.option("--cache-dir", default=None)
 @click.option("--config", "config_path", default=None,
               help="JSON config file with the same keys; flags override.")
-def trace(method, source, provider_spec, alpha, beta, epsilon, phi, depth,
-          cutoff, budget, hub_cap, out_path, out_format, chain_symbol,
-          cache_dir, config_path):
+def trace(config_path, **flags):
     """Trace from --source and write the result graph plus provenance."""
     try:
-        cfg = _load_config(config_path, {
-            "method": method, "source": source, "provider": provider_spec,
-            "alpha": alpha, "beta": beta, "epsilon": epsilon, "phi": phi,
-            "depth": depth, "cutoff": cutoff, "budget": budget,
-            "hub_cap": hub_cap, "out": out_path, "format": out_format,
-            "chain_symbol": chain_symbol, "cache_dir": cache_dir,
-        })
-    except (OSError, json.JSONDecodeError) as exc:
+        cfg = _load_config(config_path, flags)
+    except (OSError, ValueError) as exc:
         _fail(EXIT_CONFIG, "config-error", str(exc))
 
-    source = cfg.get("source")
-    provider_spec = cfg.get("provider")
-    out_path = cfg.get("out", "trace_result.json")
-    out_format = cfg.get("format", "json")
-    if not source or not provider_spec:
+    opts = {k: cfg.pop(k, default) for k, default in TRACE_DEFAULTS.items()}
+    if not opts["source"] or not opts["provider"]:
         _fail(EXIT_CONFIG, "config-error", "--source and --provider are required")
+    source, out_path = opts["source"].lower(), opts["out"]
 
-    run_cfg = RunConfig(
-        method=cfg.get("method", "ttr"),
-        alpha=cfg.get("alpha", 0.15), beta=cfg.get("beta", 0.7),
-        epsilon=cfg.get("epsilon", 1e-3), phi=cfg.get("phi", 1e-3),
-        depth=cfg.get("depth", 2), cutoff=cfg.get("cutoff", 0.001),
-        budget=cfg.get("budget"), hub_cap=cfg.get("hub_cap"),
-    )
+    run_cfg = RunConfig(**cfg)
     try:
         run_cfg.validate()
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         _fail(EXIT_CONFIG, "config-error", str(exc))
 
     try:
-        provider = _make_provider(provider_spec,
-                                  cfg.get("chain_symbol", "ETH"),
-                                  cfg.get("cache_dir"))
-        result = run_method(source.lower(), provider, run_cfg)
+        provider = _make_provider(opts["provider"], opts["chain_symbol"],
+                                  opts["cache_dir"])
+        result = run_method(source, provider, run_cfg)
     except ProviderError as exc:
         _fail(EXIT_PROVIDER, "provider-error", str(exc))
     except (OSError, ValueError) as exc:
@@ -125,13 +119,8 @@ def trace(method, source, provider_spec, alpha, beta, epsilon, phi, depth,
 
     provenance = dict(result.provenance)
     provenance["config"] = {
-        "method": run_cfg.method, "source": source.lower(),
-        "provider": provider_spec, "alpha": run_cfg.alpha,
-        "beta": run_cfg.beta, "epsilon": run_cfg.epsilon, "phi": run_cfg.phi,
-        "depth": run_cfg.depth, "cutoff": run_cfg.cutoff,
-        "budget": run_cfg.budget, "hub_cap": run_cfg.hub_cap,
-        "chain_symbol": cfg.get("chain_symbol", "ETH"),
-        "format": out_format,
+        **dataclasses.asdict(run_cfg), "source": source,
+        **{k: opts[k] for k in ("provider", "chain_symbol", "format")},
     }
 
     graph = result.output_graph()
@@ -141,13 +130,13 @@ def trace(method, source, provider_spec, alpha, beta, epsilon, phi, depth,
             residuals[node] = residuals.get(node, 0.0) + value
     community = (set(result.community.members)
                  if result.community is not None else None)
-    if out_format == "graphml":
+    if opts["format"] == "graphml":
         write_graphml(out_path, graph, rank=result.scores,
-                      residuals=residuals, source=source.lower(),
+                      residuals=residuals, source=source,
                       community=community)
     else:
         write_json(out_path, graph, rank=result.scores, residuals=residuals,
-                   source=source.lower(), community=community,
+                   source=source, community=community,
                    provenance=provenance)
     prov_path = f"{out_path}.provenance.json"
     Path(prov_path).write_text(
@@ -164,21 +153,21 @@ def trace(method, source, provider_spec, alpha, beta, epsilon, phi, depth,
 @click.option("--cases", "cases_path", required=True,
               help="Case spec JSON file or a directory of them.")
 @click.option("--out", "out_path", default="compare_report.json")
-@click.option("--alpha", type=float, default=0.15)
-@click.option("--beta", type=float, default=0.7)
-@click.option("--epsilon", type=float, default=1e-3)
-@click.option("--phi", type=float, default=1e-3)
-@click.option("--depth", type=int, default=2)
-@click.option("--cutoff", type=float, default=0.001)
-def compare(cases_path, out_path, alpha, beta, epsilon, phi, depth, cutoff):
+@click.option("--alpha", type=float, default=None)
+@click.option("--beta", type=float, default=None)
+@click.option("--epsilon", type=float, default=None)
+@click.option("--phi", type=float, default=None)
+@click.option("--depth", type=int, default=None)
+@click.option("--cutoff", type=float, default=None)
+def compare(cases_path, out_path, **params):
     """Run all methods on each planted case and write a report table."""
     root = Path(cases_path)
     spec_files = sorted(root.glob("*.json")) if root.is_dir() else [root]
     if not spec_files:
         _fail(EXIT_CONFIG, "config-error", f"no case specs under {cases_path}")
 
-    report = {"parameters": {"alpha": alpha, "beta": beta, "epsilon": epsilon,
-                             "phi": phi, "depth": depth, "cutoff": cutoff},
+    base = RunConfig(**{k: v for k, v in params.items() if v is not None})
+    report = {"parameters": {k: getattr(base, k) for k in params},
               "cases": [], "errors": []}
     for path in spec_files:
         try:
@@ -189,9 +178,7 @@ def compare(cases_path, out_path, alpha, beta, epsilon, phi, depth, cutoff):
         row = {"case": path.name, "spec": json.loads(case.spec.to_json()),
                "methods": [], "topn": {}}
         for method in METHODS:
-            cfg = RunConfig(method=method, alpha=alpha, beta=beta,
-                            epsilon=epsilon, phi=phi, depth=depth,
-                            cutoff=cutoff)
+            cfg = dataclasses.replace(base, method=method)
             try:
                 result = run_method(case.source, GraphProvider(case.graph), cfg)
             except (ValueError, RuntimeError) as exc:

@@ -1,16 +1,30 @@
 """Result graph export for external audit and visualization tools.
 
-GraphML goes through networkx (multigraph, typed attribute keys); the
-JSON format is a lossless round-trippable dump of edges plus node
-annotations.
+GraphML is a typed-key multigraph written with the standard library, in
+networkx's layout; the JSON format is a lossless round-trippable dump of
+edges plus node annotations.
 """
 from __future__ import annotations
 
 import json
-
-import networkx as nx
+from xml.sax.saxutils import escape
 
 from .graph import TransactionGraph, TransferEdge
+
+_GRAPHML_HEAD = (
+    "<?xml version='1.0' encoding='utf-8'?>\n"
+    '<graphml xmlns="http://graphml.graphdrawing.org/xmlns" '
+    'xmlns:xsi="http://www.w3.org/2001/XMLSchema-instance" '
+    'xsi:schemaLocation="http://graphml.graphdrawing.org/xmlns '
+    'http://graphml.graphdrawing.org/xmlns/1.0/graphml.xsd">\n')
+# (for, attr.name, attr.type) of keys d0, d1, ...
+_KEYS = (("node", "rank", "double"), ("node", "residual", "double"),
+         ("node", "is_source", "boolean"), ("node", "in_community", "boolean"),
+         ("edge", "amount", "double"), ("edge", "timestamp", "long"),
+         ("edge", "token", "string"), ("edge", "hash", "string"),
+         ("edge", "pattern", "string"))
+# What ElementTree escapes in attribute values besides &, < and >.
+_ATTR = {'"': "&quot;", "\r": "&#13;", "\n": "&#10;", "\t": "&#09;"}
 
 
 def _node_attrs(graph: TransactionGraph, rank, residuals, source, community):
@@ -25,19 +39,11 @@ def _node_attrs(graph: TransactionGraph, rank, residuals, source, community):
     return attrs
 
 
-def to_networkx(graph: TransactionGraph, rank: dict[str, float] | None = None,
-                residuals: dict[str, float] | None = None,
-                source: str | None = None,
-                community: set[str] | None = None) -> nx.MultiDiGraph:
-    g = nx.MultiDiGraph()
-    for node, attrs in _node_attrs(graph, rank or {}, residuals or {},
-                                   source, community).items():
-        g.add_node(node, **attrs)
-    for e in sorted(graph.edges, key=TransferEdge.sort_key):
-        g.add_edge(e.src, e.tgt, amount=e.amount, timestamp=e.timestamp,
-                   token=e.token, hash=e.hash,
-                   pattern=graph.pattern(e).value)
-    return g
+def _data(key: int, text: str) -> str:
+    """A string value's line; empty, it self-closes, as in ElementTree."""
+    text = escape(text)
+    return (f'      <data key="d{key}">{text}</data>\n' if text
+            else f'      <data key="d{key}" />\n')
 
 
 def write_graphml(path: str, graph: TransactionGraph, *,
@@ -45,8 +51,39 @@ def write_graphml(path: str, graph: TransactionGraph, *,
                   residuals: dict[str, float] | None = None,
                   source: str | None = None,
                   community: set[str] | None = None) -> None:
-    nx.write_graphml(to_networkx(graph, rank, residuals, source, community),
-                     path)
+    """Write what networkx writes for a MultiDiGraph built node by node in
+    sorted order, then edge by edge in ``sort_key`` order: byte for byte
+    when the graph has a node and float amounts (an int amount is written
+    as a ``double`` here)."""
+    nodes = _node_attrs(graph, rank or {}, residuals or {}, source, community)
+    pairs: dict[tuple[str, str], list[TransferEdge]] = {}
+    for e in sorted(graph.edges, key=TransferEdge.sort_key):
+        pairs.setdefault((e.src, e.tgt), []).append(e)
+    with open(path, "w", encoding="utf-8", errors="xmlcharrefreplace",
+              newline="\n") as fh:
+        fh.write(_GRAPHML_HEAD)
+        # The edge keys d4-d8 only when there are edges.
+        for i in reversed(range(len(_KEYS) if pairs else 4)):
+            fh.write('  <key id="d{}" for="{}" attr.name="{}" attr.type="{}" '
+                     '/>\n'.format(i, *_KEYS[i]))
+        fh.write('  <graph edgedefault="directed">\n')
+        ids = {node: escape(node, _ATTR) for node in nodes}
+        for node, attrs in nodes.items():
+            data = "".join(f'      <data key="d{i}">{value}</data>\n'
+                           for i, value in enumerate(attrs.values()))
+            fh.write(f'    <node id="{ids[node]}">\n{data}    </node>\n')
+        # Grouped by source, each source's targets in order of first
+        # appearance (the sort is stable), ids 0, 1, ... per target.
+        for (src, tgt), edges in sorted(pairs.items(), key=lambda p: p[0][0]):
+            for n, e in enumerate(edges):
+                fh.write(f'    <edge source="{ids[src]}" target="{ids[tgt]}" '
+                         f'id="{n}">\n'
+                         f'      <data key="d4">{float(e.amount)}</data>\n'
+                         f'      <data key="d5">{int(e.timestamp)}</data>\n'
+                         f'{_data(6, e.token)}{_data(7, e.hash)}'
+                         f'      <data key="d8">{graph.pattern(e).value}'
+                         '</data>\n    </edge>\n')
+        fh.write("  </graph>\n</graphml>\n")
 
 
 def graph_to_json(graph: TransactionGraph, *,

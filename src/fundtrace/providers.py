@@ -139,6 +139,9 @@ class HttpProvider:
             except (requests.RequestException, ValueError) as exc:
                 last_error = exc
                 continue
+            if not isinstance(payload, dict):
+                last_error = ProviderError(f"bad response: {payload}")
+                continue
             result = payload.get("result")
             if not isinstance(result, list):
                 # "No transactions found" comes back as status 0.

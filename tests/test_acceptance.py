@@ -10,7 +10,7 @@ from click.testing import CliRunner
 
 from conftest import (FIG_SWAP_ROWS, build_graph, multihop_swap_rows,
                       random_txgraph, tagged_edges)
-from fundtrace.baselines import appr_rank, exact_ppr
+from fundtrace.baselines import appr_rank
 from fundtrace.cases import CaseSpec, generate_planted_case
 from fundtrace.cli import main as cli_main
 from fundtrace.community import conductance, extract_community
@@ -20,6 +20,7 @@ from fundtrace.metrics import topn_curve, topn_recall
 from fundtrace.providers import GraphProvider
 from fundtrace.runner import RunConfig, evaluate, run_case_graph
 from fundtrace.ttr import TraceParams
+from oracle import exact_ppr_dense
 
 
 def _report(n, text):
@@ -114,7 +115,7 @@ def test_criterion_05_appr_oracle_equivalence():
         source = sorted(g.nodes)[0]
         rank, residual = appr_rank(g, source, alpha=0.15, epsilon=1e-3)
         assert all(v < 1e-3 for v in residual.values())
-        exact = {u: exact_ppr(g, u, alpha=0.15)
+        exact = {u: exact_ppr_dense(g.edges, g.nodes, u, alpha=0.15)
                  for u in set(residual) | {source}}
         p_exact = exact[source]
         for v in sorted(g.nodes):
@@ -240,7 +241,7 @@ def test_criterion_09_determinism(tmp_path):
     import fundtrace
     src = str(Path(fundtrace.__file__).resolve().parents[1])
     script = "from fundtrace.cli import main; main()"
-    for seed in (0, 5):
+    for seed, fmt in ((0, "json"), (5, "json"), (5, "graphml")):
         rows = multihop_swap_rows(seed, n_nodes=12, n_edges=30, n_swaps=20)
         edges = tmp_path / f"multihop{seed}.jsonl"
         edges.write_text("".join(
@@ -250,16 +251,17 @@ def test_criterion_09_determinism(tmp_path):
             for s, t, a, ts, tok, h in rows))
         blobs = []
         for hash_seed in ("0", "1"):
-            out = tmp_path / f"multihop{seed}-{hash_seed}.json"
+            out = tmp_path / f"multihop{seed}-{hash_seed}.{fmt}"
             proc = subprocess.run(
                 [sys.executable, "-c", script, "trace", "--source", "n00",
-                 "--provider", str(edges), "--out", str(out)],
+                 "--provider", str(edges), "--out", str(out),
+                 "--format", fmt],
                 env={"PYTHONPATH": src, "PYTHONHASHSEED": hash_seed},
                 capture_output=True, text=True, timeout=120)
             assert proc.returncode == 0, proc.stderr
             blobs.append(out.read_bytes()
                          + Path(f"{out}.provenance.json").read_bytes())
-        assert blobs[0] == blobs[1], f"graph seed {seed}"
+        assert blobs[0] == blobs[1], f"graph seed {seed}, {fmt}"
     _report(9, "identical trace invocations produced byte-identical result "
                "and provenance files, in one process and across two "
                "processes with different PYTHONHASHSEED values")

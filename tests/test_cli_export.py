@@ -9,8 +9,8 @@ from conftest import (FIG_SWAP_ROWS, build_graph, random_txgraph,
                       tagged_edges)
 from fundtrace.cli import (EXIT_CONFIG, EXIT_NOT_CONVERGED, EXIT_OK, main)
 from fundtrace.export import (graph_from_json, graph_to_json, read_json,
-                              to_networkx, write_graphml, write_json)
-from fundtrace.graph import Pattern
+                              write_graphml, write_json)
+from fundtrace.graph import Pattern, TransferEdge
 
 GRAPHML_NS = "{http://graphml.graphdrawing.org/xmlns}"
 
@@ -76,12 +76,44 @@ class TestExport:
         back = graph_from_json(graph_to_json(g))
         assert "lonely" in back.nodes
 
-    def test_to_networkx_multiedges_kept(self):
+    def test_to_networkx_multiedges_kept(self, tmp_path):
         g = build_graph([
             ("a", "b", 1.0, 1, "T", "h1"),
             ("a", "b", 2.0, 5, "T", "h2"),
         ])
-        assert to_networkx(g).number_of_edges("a", "b") == 2
+        out = tmp_path / "g.graphml"
+        write_graphml(str(out), g)
+        assert nx.read_graphml(str(out)).number_of_edges("a", "b") == 2
+
+    @pytest.mark.parametrize("rows", [
+        FIG_SWAP_ROWS,
+        [],
+        [("a<&\"'", "b>", 1.5, 3, "T<&\"'", "h<&\"'"),
+         ("b>", "a<&\"'", 2.0, 4, "T", "h2"),
+         ("a<&\"'", "b>", 0.5, 5, "T", "h3")],
+    ], ids=["fig-swap", "edgeless", "markup-names"])
+    def test_graphml_bytes_match_networkx(self, tmp_path, rows):
+        g = build_graph(rows)
+        g.nodes.add("lonely")
+        rank, residuals = {"u": 0.25, "b>": 1e-17}, {"x": 0.125}
+        source, community = "a", {"a", "u", "lonely"}
+        # The reference: networkx's own writer on the same MultiDiGraph.
+        ref = nx.MultiDiGraph()
+        for node in sorted(g.nodes):
+            ref.add_node(node, rank=rank.get(node, 0.0),
+                         residual=residuals.get(node, 0.0),
+                         is_source=node == source,
+                         in_community=node in community)
+        for e in sorted(g.edges, key=TransferEdge.sort_key):
+            ref.add_edge(e.src, e.tgt, amount=e.amount,
+                         timestamp=e.timestamp, token=e.token, hash=e.hash,
+                         pattern=g.pattern(e).value)
+        nx.write_graphml(ref, str(tmp_path / "want.graphml"))
+        write_graphml(str(tmp_path / "got.graphml"), g, rank=rank,
+                      residuals=residuals, source=source,
+                      community=community)
+        assert ((tmp_path / "got.graphml").read_bytes()
+                == (tmp_path / "want.graphml").read_bytes())
 
 
 class TestTraceCommand:
@@ -126,6 +158,28 @@ class TestTraceCommand:
         assert res.exit_code == EXIT_OK
         back = nx.read_graphml(str(out))
         assert "a" in back.nodes
+
+    def test_config_file_not_an_object_rejected(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[1, 2]")
+        res = self.run(["trace", "--config", str(cfg)])
+        assert res.exit_code == EXIT_CONFIG
+        err = json.loads(res.stderr.strip().splitlines()[-1])
+        assert err["error"] == "config-error"
+        assert "not a JSON object" in err["message"]
+
+    def test_config_file_unknown_key_rejected(self, tmp_path):
+        edges = swap_rows_jsonl(tmp_path / "edges.jsonl")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"source": "a", "provider": edges,
+                                   "alpah": 0.5}))
+        out = tmp_path / "o.json"
+        res = self.run(["trace", "--config", str(cfg), "--out", str(out)])
+        assert res.exit_code == EXIT_CONFIG
+        err = json.loads(res.stderr.strip().splitlines()[-1])
+        assert err["error"] == "config-error"
+        assert "'alpah'" in err["message"]
+        assert not out.exists()
 
     def test_missing_required_options(self):
         res = self.run(["trace"])
@@ -238,6 +292,21 @@ class TestTraceCommand:
         assert err["error"] == "config-error"
         assert "edge file provider" in err["message"]
         assert len(made) == 1 and made[0].requests == []
+
+
+def test_import_loads_neither_numpy_nor_networkx():
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import fundtrace
+    src = str(Path(fundtrace.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, fundtrace, fundtrace.cli; "
+         "print(sorted({'numpy', 'networkx'} & set(sys.modules)))"],
+        env={"PYTHONPATH": src}, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestCompareAndGen:

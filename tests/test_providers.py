@@ -129,6 +129,31 @@ class TestHttpProvider:
         assert "attempt 1 of 3" in retries[0].getMessage()
         assert "connection refused" in retries[0].getMessage()
 
+    def test_non_object_body_is_a_provider_error(self, monkeypatch):
+        from click.testing import CliRunner
+
+        import fundtrace.cli as cli_mod
+
+        not_a_dict = FakeResponse(["not", "a", "dict"])
+        provider, session = make_provider({("a", "txlist"): [not_a_dict]})
+        with pytest.raises(ProviderError, match="bad response"):
+            provider.fetch_edges("a")
+        assert session.requests.count(("a", "txlist")) == HttpProvider.RETRIES
+
+        script = {("a", "txlist"): [not_a_dict,
+                                    ok([record("a", "b", 5, 10, h="0x1")])]}
+        provider, session = make_provider(script)
+        assert [e.tgt for e in provider.fetch_edges("a")] == ["b"]
+        assert session.requests.count(("a", "txlist")) == 2
+
+        monkeypatch.setattr(cli_mod, "HttpProvider", lambda base_url, **kw:
+                            make_provider({("a", "txlist"): [not_a_dict]})[0])
+        res = CliRunner().invoke(cli_mod.main, [
+            "trace", "--source", "a", "--provider", "https://api.example/api"])
+        assert res.exit_code == cli_mod.EXIT_PROVIDER, res.output
+        err = json.loads(res.stderr.strip().splitlines()[-1])
+        assert err["error"] == "provider-error"
+
     def test_status_zero_means_empty(self):
         script = {("a", "txlist"): [FakeResponse({"status": "0",
                                                   "result": "No transactions found"})],
