@@ -7,7 +7,7 @@ from .graph import (Pattern, TransactionGraph, TransferEdge,
                     classify_patterns, ingest_records, load_graph)
 from .metrics import recall, topn_recall, tracing_depth
 from .providers import FileProvider, GraphProvider, HttpProvider
-from .runner import RunConfig, run_case_graph, run_method
+from .runner import RunConfig, run_method
 from .ttr import TraceParams, local_push
 
 __all__ = [
@@ -16,8 +16,7 @@ __all__ = [
     "TraceResult", "TransactionGraph", "TransferEdge", "classify_patterns",
     "conductance", "extract_community", "generate_planted_case",
     "ingest_records", "load_graph", "local_push", "recall",
-    "run_case_graph", "run_expansion", "run_method", "topn_recall",
-    "tracing_depth",
+    "run_expansion", "run_method", "topn_recall", "tracing_depth",
 ]
 
 __version__ = "0.1.0"

@@ -39,7 +39,7 @@ def bfs_trace(graph: TransactionGraph, source: str, depth: int = 2
                     visited.add(e.tgt)
                     nxt.append(e.tgt)
         frontier = nxt
-    return TransactionGraph([e for e in edges if e.tgt in visited], (source,))
+    return TransactionGraph(edges, (source,))
 
 
 def poison_trace(graph: TransactionGraph, source: str, depth: int = 2
@@ -73,12 +73,10 @@ def poison_trace(graph: TransactionGraph, source: str, depth: int = 2
                         if not (cand[0] <= h and cand[1] <= t)]
             known.append(cand)
             work.append((e.tgt, cand[0], cand[1]))
-    tainted = set(labels)
     # A node relaxed under several labels rescans its out-edges; keep
     # each edge once, in first-seen order.
-    sub = TransactionGraph([e for e in dict.fromkeys(edges) if e.tgt in tainted],
-                           (source,))
-    return TaintResult(sub, {u: 1.0 for u in tainted})
+    sub = TransactionGraph(dict.fromkeys(edges), (source,))
+    return TaintResult(sub, {u: 1.0 for u in labels})
 
 
 def haircut_trace(graph: TransactionGraph, source: str,
@@ -122,8 +120,7 @@ def haircut_trace(graph: TransactionGraph, source: str,
     taint = {u: v for u, v in received.items() if v >= floor or u == source}
     # Parcels reaching a node at different times rescan its out-edges;
     # keep each edge once, in first-seen order.
-    sub = TransactionGraph([e for e in dict.fromkeys(edges_used) if e.tgt in taint],
-                           (source,))
+    sub = TransactionGraph(dict.fromkeys(edges_used), (source,))
     return TaintResult(sub, taint, held)
 
 

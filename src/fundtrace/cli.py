@@ -27,10 +27,6 @@ EXIT_PROVIDER = 3
 EXIT_NOT_CONVERGED = 4
 
 TOPN_POINTS = [1, 5, 10, 25, 50, 100, 200]
-# trace's keys beyond RunConfig's fields, with their defaults.
-TRACE_DEFAULTS = {"source": None, "provider": None,
-                  "out": "trace_result.json", "format": "json",
-                  "chain_symbol": "ETH", "cache_dir": None}
 
 
 def _fail(code: int, kind: str, message: str):
@@ -38,19 +34,25 @@ def _fail(code: int, kind: str, message: str):
     sys.exit(code)
 
 
-def _load_config(config_path: str | None, overrides: dict) -> dict:
-    merged: dict = {}
-    if config_path:
-        loaded = json.loads(Path(config_path).read_text())
-        if not isinstance(loaded, dict):
-            raise ValueError(f"{config_path}: not a JSON object")
-        unknown = sorted(set(loaded) - set(TRACE_DEFAULTS)
-                         - {f.name for f in dataclasses.fields(RunConfig)})
-        if unknown:
-            raise ValueError(f"{config_path}: unknown key {unknown[0]!r}")
-        merged.update(loaded)
-    merged.update({k: v for k, v in overrides.items() if v is not None})
-    return merged
+def _read_config(ctx: click.Context, _param, path: str | None) -> None:
+    """Make a JSON config file the defaults of ``ctx``'s parameters, so
+    click converts and checks its values exactly as it does flags."""
+    if path is None:
+        return
+    try:
+        loaded = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        _fail(EXIT_CONFIG, "config-error", str(exc))
+    if not isinstance(loaded, dict):
+        _fail(EXIT_CONFIG, "config-error", f"{path}: not a JSON object")
+    unknown = sorted(set(loaded) - {p.name for p in ctx.command.params
+                                    if p.expose_value})
+    if unknown:
+        _fail(EXIT_CONFIG, "config-error", f"{path}: unknown key {unknown[0]!r}")
+    # Values go in as text, as flags do: click's int type would truncate
+    # a JSON 2.5 to 2 and read true as 1.
+    ctx.default_map = {k: None if v is None else str(v)
+                       for k, v in loaded.items()}
 
 
 def _make_provider(spec: str, chain_symbol: str, cache_dir: str | None):
@@ -81,34 +83,29 @@ def main():
               help="ttr: maximum number of pops (at least 1).")
 @click.option("--hub-cap", type=int, default=None,
               help="ttr: edges kept per fetched account (at least 1).")
-@click.option("--out", default=None)
-@click.option("--format", type=click.Choice(["json", "graphml"]), default=None)
-@click.option("--chain-symbol", default=None)
+@click.option("--out", default="trace_result.json")
+@click.option("--format", type=click.Choice(["json", "graphml"]),
+              default="json")
+@click.option("--chain-symbol", default="ETH")
 @click.option("--cache-dir", default=None)
-@click.option("--config", "config_path", default=None,
+@click.option("--config", callback=_read_config, is_eager=True,
+              expose_value=False,
               help="JSON config file with the same keys; flags override.")
-def trace(config_path, **flags):
+def trace(source, provider, out, format, chain_symbol, cache_dir, **params):
     """Trace from --source and write the result graph plus provenance."""
-    try:
-        cfg = _load_config(config_path, flags)
-    except (OSError, ValueError) as exc:
-        _fail(EXIT_CONFIG, "config-error", str(exc))
-
-    opts = {k: cfg.pop(k, default) for k, default in TRACE_DEFAULTS.items()}
-    if not opts["source"] or not opts["provider"]:
+    if not source or not provider:
         _fail(EXIT_CONFIG, "config-error", "--source and --provider are required")
-    source, out_path = opts["source"].lower(), opts["out"]
+    source = source.lower()
 
-    run_cfg = RunConfig(**cfg)
+    run_cfg = RunConfig(**{k: v for k, v in params.items() if v is not None})
     try:
         run_cfg.validate()
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         _fail(EXIT_CONFIG, "config-error", str(exc))
 
     try:
-        provider = _make_provider(opts["provider"], opts["chain_symbol"],
-                                  opts["cache_dir"])
-        result = run_method(source, provider, run_cfg)
+        edge_provider = _make_provider(provider, chain_symbol, cache_dir)
+        result = run_method(source, edge_provider, run_cfg)
     except ProviderError as exc:
         _fail(EXIT_PROVIDER, "provider-error", str(exc))
     except (OSError, ValueError) as exc:
@@ -119,8 +116,8 @@ def trace(config_path, **flags):
 
     provenance = dict(result.provenance)
     provenance["config"] = {
-        **dataclasses.asdict(run_cfg), "source": source,
-        **{k: opts[k] for k in ("provider", "chain_symbol", "format")},
+        **dataclasses.asdict(run_cfg), "source": source, "provider": provider,
+        "chain_symbol": chain_symbol, "format": format,
     }
 
     graph = result.output_graph()
@@ -130,19 +127,18 @@ def trace(config_path, **flags):
             residuals[node] = residuals.get(node, 0.0) + value
     community = (set(result.community.members)
                  if result.community is not None else None)
-    if opts["format"] == "graphml":
-        write_graphml(out_path, graph, rank=result.scores,
+    if format == "graphml":
+        write_graphml(out, graph, rank=result.scores,
                       residuals=residuals, source=source,
                       community=community)
     else:
-        write_json(out_path, graph, rank=result.scores, residuals=residuals,
+        write_json(out, graph, rank=result.scores, residuals=residuals,
                    source=source, community=community,
                    provenance=provenance)
-    prov_path = f"{out_path}.provenance.json"
-    Path(prov_path).write_text(
+    Path(f"{out}.provenance.json").write_text(
         json.dumps(provenance, sort_keys=True, indent=1) + "\n")
     # Timings are log output only: result files must be reproducible.
-    click.echo(f"runtime_s={result.runtime_s:.3f} wrote {out_path}", err=True)
+    click.echo(f"runtime_s={result.runtime_s:.3f} wrote {out}", err=True)
 
     if result.community is not None and not result.community.converged:
         sys.exit(EXIT_NOT_CONVERGED)
@@ -207,23 +203,19 @@ def compare(cases_path, out_path, **params):
 
 
 @main.command("gen-case")
-@click.option("--seed", type=int, default=0)
-@click.option("--layers", type=int, default=5)
-@click.option("--fan-out", type=int, default=3)
-@click.option("--targets", "target_count", type=int, default=3)
-@click.option("--swap-prob", type=float, default=0.3)
-@click.option("--noise-rate", type=float, default=2.0)
-@click.option("--hubs", type=int, default=1)
+@click.option("--seed", type=int, default=None)
+@click.option("--layers", type=int, default=None)
+@click.option("--fan-out", type=int, default=None)
+@click.option("--targets", "target_count", type=int, default=None)
+@click.option("--swap-prob", "swap_hop_probability", type=float, default=None)
+@click.option("--noise-rate", type=float, default=None)
+@click.option("--hubs", "hub_count", type=int, default=None)
 @click.option("--out", "out_path", default="case.json")
 @click.option("--edges-out", default=None,
               help="Also write the generated edges as an ingestable CSV.")
-def gen_case(seed, layers, fan_out, target_count, swap_prob, noise_rate,
-             hubs, out_path, edges_out):
+def gen_case(out_path, edges_out, **fields):
     """Generate a planted case spec (deterministic under --seed)."""
-    spec = CaseSpec(seed=seed, layers=layers, fan_out=fan_out,
-                    target_count=target_count,
-                    swap_hop_probability=swap_prob, noise_rate=noise_rate,
-                    hub_count=hubs)
+    spec = CaseSpec(**{k: v for k, v in fields.items() if v is not None})
     try:
         case = generate_planted_case(spec)
     except ValueError as exc:

@@ -72,11 +72,7 @@ def extract_community(graph: TransactionGraph, rank: dict[str, float],
 
     phi_now = bound_mass / interior
     sweep = [phi_now]
-    while phi_now >= phi:
-        if cursor >= len(outside):
-            return Community(members=members, conductance=phi_now,
-                             subgraph=induced_subgraph(graph, member_set),
-                             converged=False, sweep_conductances=sweep)
+    while phi_now >= phi and cursor < len(outside):
         v = outside[cursor]
         cursor += 1
         members.append(v)
@@ -98,7 +94,7 @@ def extract_community(graph: TransactionGraph, rank: dict[str, float],
 
     return Community(members=members, conductance=phi_now,
                      subgraph=induced_subgraph(graph, member_set),
-                     converged=True, sweep_conductances=sweep)
+                     converged=phi_now < phi, sweep_conductances=sweep)
 
 
 def induced_subgraph(graph: TransactionGraph, members: set[str]

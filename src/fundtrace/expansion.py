@@ -17,8 +17,7 @@ from typing import Callable
 
 from .graph import TransactionGraph, TransferEdge
 from .providers import EdgeProvider, ProviderError
-from .ttr import (ANY_TOKEN, SEED_TS, PushStats, ResidualLedger, TraceParams,
-                  local_push)
+from .ttr import ANY_TOKEN, SEED_TS, ResidualLedger, TraceParams, local_push
 
 TERM_CONVERGED = "residuals-below-epsilon"
 TERM_BUDGET = "budget-exhausted"
@@ -35,7 +34,6 @@ class TraceResult:
     subgraph: TransactionGraph
     rank: dict[str, float]
     ledger: ResidualLedger
-    params: TraceParams
     iterations: int
     termination: str
     dropped_mass: float = 0.0
@@ -107,7 +105,7 @@ def run_expansion(source: str, provider: EdgeProvider, params: TraceParams,
     rank: dict[str, float] = {}
     ledger = ResidualLedger()
     ledger.add(source, SEED_TS, ANY_TOKEN, 1.0)
-    stats = PushStats()
+    dropped = 0.0
     cache = _EdgeCache(provider, hub_cap)
     pop_bound = math.ceil(1.0 / (params.epsilon * params.alpha))
     iterations = 0
@@ -128,22 +126,21 @@ def run_expansion(source: str, provider: EdgeProvider, params: TraceParams,
             log.warning("expansion stopped at %s: %s", node, exc)
             termination = TERM_PROVIDER_ERROR
             break
-        local_push(node, graph, params, rank, ledger, stats)
+        dropped = local_push(node, graph, params, rank, ledger, dropped)
         iterations += 1
         if iterations > pop_bound:
             raise RuntimeError(
                 f"pop count {iterations} exceeded 1/(eps*alpha) bound {pop_bound}")
         if on_iteration is not None:
-            on_iteration(rank, ledger, stats.dropped_mass)
+            on_iteration(rank, ledger, dropped)
 
-    mass = sum(rank.values()) + ledger.total() + stats.dropped_mass
+    mass = sum(rank.values()) + ledger.total() + dropped
     if abs(mass - 1.0) > MASS_TOLERANCE:
         raise RuntimeError(
             f"mass identity off by {mass - 1.0:.3e}: rank + residual + "
             f"dropped must sum to 1")
     subgraph = TransactionGraph(cache.merged_edges(), (source,))
     return TraceResult(subgraph=subgraph, rank=rank, ledger=ledger,
-                       params=params, iterations=iterations,
-                       termination=termination,
-                       dropped_mass=stats.dropped_mass,
+                       iterations=iterations, termination=termination,
+                       dropped_mass=dropped,
                        hub_cap_hits=cache.hub_cap_hits)

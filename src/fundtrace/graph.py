@@ -11,10 +11,13 @@ from __future__ import annotations
 import csv
 import io
 import json
+import logging
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Sequence
+
+log = logging.getLogger("fundtrace")
 
 
 class Pattern(Enum):
@@ -198,15 +201,12 @@ def _parse_record(rec: dict, line: int, chain_symbol: str) -> TransferEdge:
     return TransferEdge(src, tgt, amount, timestamp, token, txhash)
 
 
-def ingest_records(records: Iterable[dict], *, chain_symbol: str = "ETH",
-                   strict: bool = False,
-                   errors: list[IngestError] | None = None,
-                   ) -> TransactionGraph:
-    """Build a graph from raw dict records.
+def parse_records(records: Iterable[dict], chain_symbol: str, *,
+                  strict: bool = False) -> list[TransferEdge]:
+    """Parse raw dict records into edges.
 
-    Malformed records are skipped (collected into ``errors`` when given)
-    unless strict, in which case the first bad record aborts ingestion.
-    Identical records are kept: the graph is a multigraph.
+    A malformed record is logged at WARNING on the ``fundtrace`` logger
+    and skipped, unless strict, in which case it raises IngestError.
     """
     edges = []
     for line, rec in enumerate(records, start=1):
@@ -215,9 +215,17 @@ def ingest_records(records: Iterable[dict], *, chain_symbol: str = "ETH",
         except IngestError as exc:
             if strict:
                 raise
-            if errors is not None:
-                errors.append(exc)
-    return TransactionGraph(edges)
+            log.warning("skipped %s", exc)
+    return edges
+
+
+def ingest_records(records: Iterable[dict], *, chain_symbol: str = "ETH",
+                   strict: bool = False) -> TransactionGraph:
+    """Build a graph from raw dict records, skipping malformed ones as
+    ``parse_records`` does. Identical records are kept: the graph is a
+    multigraph."""
+    return TransactionGraph(parse_records(records, chain_symbol,
+                                          strict=strict))
 
 
 def iter_csv_records(text: io.TextIOBase | str) -> Iterator[dict]:

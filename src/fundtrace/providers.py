@@ -16,7 +16,7 @@ from typing import Protocol
 
 import requests
 
-from .graph import IngestError, TransferEdge, _parse_record, load_graph
+from .graph import TransferEdge, load_graph, parse_records
 
 API_KEY_ENV = "FUNDTRACE_API_KEY"
 
@@ -158,9 +158,6 @@ class HttpProvider:
     def fetch_edges(self, account: str) -> list[TransferEdge]:
         edges: list[TransferEdge] = []
         for action in ("txlist", "tokentx"):
-            for i, rec in enumerate(self._request(account, action), start=1):
-                try:
-                    edges.append(_parse_record(rec, i, self.chain_symbol))
-                except IngestError:
-                    continue
+            edges += parse_records(self._request(account, action),
+                                   self.chain_symbol)
         return edges

@@ -9,7 +9,7 @@ from . import baselines, community, metrics
 from .community import Community, extract_community
 from .expansion import TraceResult, run_expansion
 from .graph import TransactionGraph
-from .providers import EdgeProvider, GraphProvider
+from .providers import EdgeProvider
 from .ttr import TraceParams
 
 METHODS = ("ttr", "appr", "bfs", "poison", "haircut")
@@ -77,6 +77,7 @@ def run_method(source: str, provider: EdgeProvider, config: RunConfig
                         "epsilon": config.epsilon, "phi": config.phi,
                         "depth": config.depth, "cutoff": config.cutoff}
 
+    trace = comm = None
     if config.method == "ttr":
         trace = run_expansion(source, provider, params, config.budget,
                               hub_cap=config.hub_cap)
@@ -90,9 +91,7 @@ def run_method(source: str, provider: EdgeProvider, config: RunConfig
             "community_converged": comm.converged,
             "community_conductance": comm.conductance,
         })
-        result = MethodResult(config.method, trace.subgraph, dict(trace.rank),
-                              community=comm, trace=trace,
-                              provenance=provenance)
+        sub, scores = trace.subgraph, dict(trace.rank)
     else:
         # The baselines read the whole graph, which only graph-backed
         # providers hold; crawling an API for it would have no bound.
@@ -101,28 +100,22 @@ def run_method(source: str, provider: EdgeProvider, config: RunConfig
             raise ValueError(f"method {config.method!r} needs an edge file "
                              "provider")
         if config.method == "appr":
-            rank, residual = baselines.appr_rank(graph, source,
-                                                 config.alpha, config.epsilon)
-            nodes = set(rank) | set(residual) | {source}
+            scores, residual = baselines.appr_rank(graph, source,
+                                                   config.alpha, config.epsilon)
+            nodes = set(scores) | set(residual) | {source}
             sub = community.induced_subgraph(graph, nodes)
-            result = MethodResult(config.method, sub, rank,
-                                  provenance=provenance)
         elif config.method == "bfs":
             sub = baselines.bfs_trace(graph, source, config.depth)
-            result = MethodResult(config.method, sub,
-                                  {u: 1.0 for u in sub.nodes},
-                                  provenance=provenance)
-        elif config.method == "poison":
-            taint = baselines.poison_trace(graph, source, config.depth)
-            result = MethodResult(config.method, taint.subgraph, taint.taint,
-                                  provenance=provenance)
+            scores = {u: 1.0 for u in sub.nodes}
         else:
-            taint = baselines.haircut_trace(graph, source, config.cutoff)
-            result = MethodResult(config.method, taint.subgraph, taint.taint,
-                                  provenance=provenance)
+            taint = (baselines.poison_trace(graph, source, config.depth)
+                     if config.method == "poison"
+                     else baselines.haircut_trace(graph, source, config.cutoff))
+            sub, scores = taint.subgraph, taint.taint
 
-    result.runtime_s = time.perf_counter() - t0
-    return result
+    return MethodResult(config.method, sub, scores, community=comm,
+                        trace=trace, runtime_s=time.perf_counter() - t0,
+                        provenance=provenance)
 
 
 def evaluate(result: MethodResult, source: str, targets: set[str]) -> dict:
@@ -139,8 +132,3 @@ def evaluate(result: MethodResult, source: str, targets: set[str]) -> dict:
         "depth": depth,
         "runtime_s": result.runtime_s,
     }
-
-
-def run_case_graph(graph: TransactionGraph, source: str,
-                   config: RunConfig) -> MethodResult:
-    return run_method(source, GraphProvider(graph), config)

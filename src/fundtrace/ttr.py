@@ -136,46 +136,41 @@ def redirect_set(edge: TransferEdge, graph: TransactionGraph, node: str,
         expanded.add(e)
         on_path.add(e.hash)
         if direction == "out":
-            candidates = graph.edges_after(node, e.timestamp - 1)
-            candidates = [c for c in candidates
-                          if c.timestamp >= e.timestamp
-                          and c.token in counter
-                          and c.hash != e.hash]
+            side = graph.edges_after(node, e.timestamp - 1)
+            earliest, latest = e.timestamp, float("inf")
         else:
-            candidates = graph.edges_before(node, e.timestamp + 1)
-            candidates = [c for c in candidates
-                          if c.timestamp <= e.timestamp
-                          and c.token in counter
-                          and c.hash != e.hash]
+            side = graph.edges_before(node, e.timestamp + 1)
+            earliest, latest = float("-inf"), e.timestamp
+        candidates = [c for c in side
+                      if earliest <= c.timestamp <= latest
+                      and c.token in counter
+                      and c.hash != e.hash]
         stack.append((e.hash, iter(candidates)))
     graph._redirect[key] = result
     return result
 
 
-@dataclass
-class PushStats:
-    dropped_mass: float = 0.0
-
-
 def local_push(node: str, graph: TransactionGraph, params: TraceParams,
                rank: dict[str, float], ledger: ResidualLedger,
-               stats: PushStats | None = None) -> None:
+               dropped: float = 0.0) -> float:
     """One greedy push step on ``node``; mutates rank and ledger in place.
 
     Mass accounting: rank gains alpha * residual(node); the remainder is
     forwarded, self-returned (empty edge set), or dropped (exchange leg
-    with no continuation, tallied in ``stats.dropped_mass``).
+    with no continuation). Returns ``dropped`` plus the mass dropped here,
+    added leg by leg, so a caller that passes its running tally back in
+    sums every dropped leg in one order.
     """
     alpha, beta = params.alpha, params.beta
     snapshot = ledger.clear_node(node)
     if not snapshot:
-        return
+        return dropped
     total = sum(snapshot.values())
     rank[node] = rank.get(node, 0.0) + alpha * total
 
     for (ts, token), value in snapshot.items():
         e_out = graph.edges_after(node, ts, token)
-        e_in = [] if ts == SEED_TS else graph.edges_before(node, ts, token)
+        e_in = graph.edges_before(node, ts, token)
         for direction, edge_set, gamma in (("out", e_out, beta),
                                            ("in", e_in, 1.0 - beta)):
             if gamma == 0.0:
@@ -196,10 +191,10 @@ def local_push(node: str, graph: TransactionGraph, params: TraceParams,
                 if not routed:
                     # Exchange with no continuation edge: mass is dropped
                     # rather than self-returned; callers track the tally.
-                    if stats is not None:
-                        stats.dropped_mass += leg_mass
+                    dropped += leg_mass
                     continue
                 delta = leg_mass / len(routed)
                 for e2 in routed:
                     neighbor = e2.src if direction == "in" else e2.tgt
                     ledger.add(neighbor, e2.timestamp, e2.token, delta)
+    return dropped

@@ -18,7 +18,7 @@ from fundtrace.expansion import run_expansion
 from fundtrace.export import (graph_from_json, graph_to_json, write_graphml)
 from fundtrace.metrics import topn_curve, topn_recall
 from fundtrace.providers import GraphProvider
-from fundtrace.runner import RunConfig, evaluate, run_case_graph
+from fundtrace.runner import RunConfig, evaluate, run_method
 from fundtrace.ttr import TraceParams
 from oracle import exact_ppr_dense
 
@@ -165,7 +165,7 @@ def planted_runs():
         row = {"case": case, "results": {}}
         for method in ("ttr", "appr", "bfs"):
             cfg = RunConfig(method=method)
-            result = run_case_graph(case.graph, case.source, cfg)
+            result = run_method(case.source, GraphProvider(case.graph), cfg)
             row["results"][method] = result
         runs.append(row)
     return runs

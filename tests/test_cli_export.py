@@ -1,4 +1,5 @@
 import json
+import logging
 import xml.etree.ElementTree as ET
 
 import networkx as nx
@@ -180,6 +181,106 @@ class TestTraceCommand:
         assert err["error"] == "config-error"
         assert "'alpah'" in err["message"]
         assert not out.exists()
+
+    def test_config_value_checked_like_its_flag(self, tmp_path):
+        edges = swap_rows_jsonl(tmp_path / "edges.jsonl")
+        cfg = tmp_path / "cfg.json"
+        out = tmp_path / "o.json"
+        cfg.write_text(json.dumps({"source": "a", "provider": edges,
+                                   "format": "xml", "out": str(out)}))
+        res = self.run(["trace", "--config", str(cfg)])
+        assert res.exit_code == EXIT_CONFIG
+        assert "--format" in res.stderr
+        assert not out.exists()
+        assert not (tmp_path / "o.json.provenance.json").exists()
+
+    def test_config_values_converted_like_flags(self, tmp_path):
+        edges = swap_rows_jsonl(tmp_path / "edges.jsonl")
+        cfg = tmp_path / "cfg.json"
+        out = tmp_path / "o.json"
+        cfg.write_text(json.dumps({"source": "a", "provider": edges,
+                                   "alpha": "0.5", "out": str(out)}))
+        res = self.run(["trace", "--config", str(cfg)])
+        assert res.exit_code == EXIT_OK, res.output
+        prov = json.loads((tmp_path / "o.json.provenance.json").read_text())
+        assert prov["config"]["alpha"] == 0.5
+        for key, bad in (("depth", "deep"), ("depth", 2.5),
+                         ("budget", True)):
+            cfg.write_text(json.dumps({"source": "a", "provider": edges,
+                                       key: bad}))
+            res = self.run(["trace", "--config", str(cfg)])
+            assert res.exit_code == EXIT_CONFIG, (key, bad)
+            assert f"--{key}" in res.stderr
+
+    def test_config_source_number_runs_as_the_flag_does(self, tmp_path):
+        edges = swap_rows_jsonl(tmp_path / "edges.jsonl")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"source": 123, "provider": edges,
+                                   "out": str(tmp_path / "cfg.json.out")}))
+        res = self.run(["trace", "--config", str(cfg)])
+        ref = self.run(["trace", "--source", "123", "--provider", edges,
+                        "--out", str(tmp_path / "flag.json.out")])
+        assert res.exception is None and ref.exception is None
+        assert res.exit_code == ref.exit_code == EXIT_OK
+        for suffix in ("", ".provenance.json"):
+            assert ((tmp_path / f"cfg.json.out{suffix}").read_bytes()
+                    == (tmp_path / f"flag.json.out{suffix}").read_bytes())
+
+    def test_every_trace_parameter_is_a_config_key(self, tmp_path,
+                                                    monkeypatch):
+        import dataclasses
+
+        import fundtrace.cli as cli_mod
+        from fundtrace.runner import RunConfig
+
+        names = {p.name for p in cli_mod.trace.params if p.expose_value}
+        assert names == ({f.name for f in dataclasses.fields(RunConfig)}
+                         | {"source", "provider", "out", "format",
+                            "chain_symbol", "cache_dir"})
+        made = []
+        real = cli_mod._make_provider
+
+        def recording(spec, chain_symbol, cache_dir):
+            made.append((spec, chain_symbol, cache_dir))
+            return real(spec, chain_symbol, cache_dir)
+
+        monkeypatch.setattr(cli_mod, "_make_provider", recording)
+        edges = swap_rows_jsonl(tmp_path / "edges.jsonl")
+        out = tmp_path / "result.graphml"
+        config = {"method": "ttr", "source": "A", "provider": edges,
+                  "alpha": 0.2, "beta": 0.6, "epsilon": 0.002, "phi": 0.5,
+                  "depth": 3, "cutoff": 0.01, "budget": 50, "hub_cap": 100,
+                  "out": str(out), "format": "graphml", "chain_symbol": "BNB",
+                  "cache_dir": str(tmp_path / "cache")}
+        assert set(config) == names
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        res = self.run(["trace", "--config", str(cfg)])
+        assert res.exit_code == EXIT_OK, res.output
+        assert made == [(edges, "BNB", str(tmp_path / "cache"))]
+        assert "a" in nx.read_graphml(str(out)).nodes
+        prov = json.loads(
+            (tmp_path / "result.graphml.provenance.json").read_text())
+        assert prov["config"] == {
+            **{k: v for k, v in config.items()
+               if k not in ("out", "cache_dir")}, "source": "a"}
+
+    def test_malformed_row_logged_and_skipped(self, tmp_path, caplog):
+        caplog.set_level(logging.WARNING, logger="fundtrace")
+        edges = tmp_path / "edges.csv"
+        edges.write_text("from,to,value,timeStamp,tokenSymbol,hash\n"
+                         "a,b,10,5,T,h1\n"
+                         "b,c,oops,7,T,h2\n"
+                         "b,c,4,8,T,h3\n")
+        res = self.run(["trace", "--source", "a", "--provider", str(edges),
+                        "--out", str(tmp_path / "o.json")])
+        assert res.exit_code == EXIT_OK, res.output
+        warnings = [r.getMessage() for r in caplog.records
+                    if r.levelno == logging.WARNING]
+        assert len(warnings) == 1
+        assert warnings[0].startswith("skipped record 2:")
+        payload = json.loads((tmp_path / "o.json").read_text())
+        assert set(payload["nodes"]) <= {"a", "b", "c"}
 
     def test_missing_required_options(self):
         res = self.run(["trace"])

@@ -10,7 +10,7 @@ from fundtrace.expansion import (TERM_BUDGET, TERM_CONVERGED,
                                  TERM_PROVIDER_ERROR, _EdgeCache, pop,
                                  run_expansion)
 from fundtrace.providers import GraphProvider, ProviderError
-from fundtrace.ttr import PushStats, ResidualLedger, TraceParams, local_push
+from fundtrace.ttr import ResidualLedger, TraceParams, local_push
 
 
 class FailingProvider:
@@ -218,10 +218,10 @@ def full_graph_push(graph, source, params):
     pushing account's own edges, so a trace that fetches one account at a
     time must match it bit for bit."""
     rank, ledger = seeded_trace(source)
-    stats = PushStats()
+    dropped = 0.0
     while (node := pop(ledger, params.epsilon)) is not None:
-        local_push(node, graph, params, rank, ledger, stats)
-    return rank, stats.dropped_mass
+        dropped = local_push(node, graph, params, rank, ledger, dropped)
+    return rank, dropped
 
 
 def test_expansion_equals_full_graph_push():
@@ -293,7 +293,7 @@ from fundtrace.ttr import TraceParams
 if __debug__:
     sys.exit("asserts are on: run this under python -O")
 # A push that never drains the residual pops the source forever.
-expansion.local_push = lambda *args, **kwargs: None
+expansion.local_push = lambda *args, **kwargs: 0.0
 expansion.run_expansion("s", GraphProvider(TransactionGraph([])),
                         TraceParams(epsilon=0.1))
 """

@@ -1,4 +1,5 @@
 import io
+import logging
 import random
 
 import pytest
@@ -92,8 +93,8 @@ def test_counter_tokens_match_oracle_on_multihop_swaps():
                     node, e, g.edges)
 
 
-def test_malformed_records_skipped_with_line_numbers():
-    errors = []
+def test_malformed_records_skipped_with_line_numbers(caplog):
+    caplog.set_level(logging.WARNING, logger="fundtrace")
     g = ingest_records([
         {"from": "A", "to": "B", "value": "10", "timeStamp": "5",
          "tokenSymbol": "T", "hash": "h1"},
@@ -101,9 +102,12 @@ def test_malformed_records_skipped_with_line_numbers():
          "tokenSymbol": "T", "hash": "h2"},
         {"from": "A", "to": "B", "value": "-4", "timeStamp": "5",
          "tokenSymbol": "T", "hash": "h3"},
-    ], errors=errors)
+    ])
     assert g.num_edges == 1
-    assert [e.line for e in errors] == [2, 3]
+    skipped = [r.getMessage() for r in caplog.records
+               if r.name == "fundtrace" and r.levelno == logging.WARNING]
+    assert [m.split(":")[0] for m in skipped] == ["skipped record 2",
+                                                  "skipped record 3"]
 
 
 def test_strict_mode_aborts():

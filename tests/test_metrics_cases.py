@@ -1,3 +1,5 @@
+import logging
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -114,11 +116,12 @@ class TestPlantedCases:
                                               seed=4))
         assert case.swap_nodes == set()
 
-    def test_records_round_trip_through_ingestion(self):
+    def test_records_round_trip_through_ingestion(self, caplog):
+        caplog.set_level(logging.WARNING, logger="fundtrace")
         case = generate_planted_case(CaseSpec(seed=6))
-        errors = []
-        graph = ingest_records(case_records(case), errors=errors)
-        assert errors == []
+        graph = ingest_records(case_records(case))
+        assert [r for r in caplog.records
+                if r.levelno >= logging.WARNING] == []
         assert graph.nodes == case.graph.nodes
         assert graph.num_edges == case.graph.num_edges
 

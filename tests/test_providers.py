@@ -1,4 +1,5 @@
 import json
+import logging
 
 import pytest
 
@@ -88,6 +89,20 @@ class TestHttpProvider:
         provider, _ = make_provider(script)
         edges = provider.fetch_edges("a")
         assert [e.tgt for e in edges] == ["b", "e"]
+
+    def test_bad_row_logged_at_warning(self, caplog):
+        caplog.set_level(logging.WARNING, logger="fundtrace")
+        script = {("a", "tokentx"): [ok([
+            record("a", "b", 5, 10, h="0x1"),
+            record("a", "c", 6, -20, h="0x2"),  # negative timestamp
+            record("a", "d", 7, 30, h="0x3"),
+        ])]}
+        provider, _ = make_provider(script)
+        edges = provider.fetch_edges("a")
+        assert [e.tgt for e in edges] == ["b", "d"]
+        warnings = [r.getMessage() for r in caplog.records
+                    if r.levelno == logging.WARNING]
+        assert warnings == ["skipped record 2: negative timestamp -20"]
 
     def test_retry_then_success(self):
         import requests

@@ -9,8 +9,8 @@ from conftest import FIG_SWAP_ROWS, build_graph, random_txgraph, seeded_trace
 from fundtrace.graph import Pattern
 from fundtrace.expansion import TERM_BUDGET, run_expansion
 from fundtrace.providers import GraphProvider
-from fundtrace.ttr import (ANY_TOKEN, SEED_TS, PushStats, ResidualLedger,
-                           TraceParams, local_push, redirect_set)
+from fundtrace.ttr import (ANY_TOKEN, SEED_TS, ResidualLedger, TraceParams,
+                           local_push, redirect_set)
 from oracle import naive_push_once, naive_redirect
 
 
@@ -168,10 +168,9 @@ def test_redirect_dead_end_swap_drops_mass():
     rank = {}
     ledger = ResidualLedger()
     ledger.add("u", 10, "USDC", 1.0)
-    stats = PushStats()
-    local_push("u", g, params, rank, ledger, stats)
-    assert stats.dropped_mass == pytest.approx(0.85 * 0.7)
-    assert total_mass(rank, ledger) + stats.dropped_mass == pytest.approx(1.0)
+    dropped = local_push("u", g, params, rank, ledger)
+    assert dropped == pytest.approx(0.85 * 0.7)
+    assert total_mass(rank, ledger) + dropped == pytest.approx(1.0)
 
 
 def test_redirect_terminates_on_swap_cycle():
@@ -249,14 +248,14 @@ def test_push_invariants_random_graphs(seed, steps):
     params = TraceParams(alpha=0.15, beta=0.7, epsilon=1e-6)
     source = sorted(g.nodes)[0]
     rank, ledger = seeded_trace(source)
-    stats = PushStats()
+    dropped = 0.0
     prev_rank: dict = {}
     prev_total = 1.0
     for _ in range(steps):
         best = ledger.max_node()
         if best is None or best[1] < params.epsilon:
             break
-        local_push(best[0], g, params, rank, ledger, stats)
+        dropped = local_push(best[0], g, params, rank, ledger, dropped)
         # non-negativity
         assert all(v >= 0.0 for v in rank.values())
         assert all(v >= 0.0 for _, _, _, v in ledger.items())
@@ -268,7 +267,7 @@ def test_push_invariants_random_graphs(seed, steps):
         total = total_mass(rank, ledger)
         assert total <= prev_total + 1e-9
         prev_total = total
-        assert total + stats.dropped_mass == pytest.approx(1.0, abs=1e-9)
+        assert total + dropped == pytest.approx(1.0, abs=1e-9)
 
 
 def test_push_matches_naive_on_random_graphs():
