@@ -61,9 +61,7 @@ def poison_trace(graph: TransactionGraph, source: str, depth: int = 2
         u, hops, since = work.pop()
         if hops >= depth:
             continue
-        for e in graph.out_edges(u):
-            if e.timestamp < since:
-                continue
+        for e in graph.edges_after(u, since - 1):
             cand = (hops + 1, float(e.timestamp))
             edges.append(e)
             known = labels.setdefault(e.tgt, [])
@@ -74,7 +72,7 @@ def poison_trace(graph: TransactionGraph, source: str, depth: int = 2
             known.append(cand)
             work.append((e.tgt, cand[0], cand[1]))
     # A node relaxed under several labels rescans its out-edges; keep
-    # each edge once, in first-seen order.
+    # each edge once (the graph puts them back in ``sort_key`` order).
     sub = TransactionGraph(dict.fromkeys(edges), (source,))
     return TaintResult(sub, {u: 1.0 for u in labels})
 
@@ -102,7 +100,7 @@ def haircut_trace(graph: TransactionGraph, source: str,
         since, _, u, value = heapq.heappop(heap)
         if value < floor:
             continue
-        out = [e for e in graph.out_edges(u) if e.timestamp > since]
+        out = graph.edges_after(u, since)
         total = sum(e.amount for e in out)
         if total <= 0.0:
             continue  # dirty value rests at u
@@ -119,7 +117,7 @@ def haircut_trace(graph: TransactionGraph, source: str,
                 seq += 1
     taint = {u: v for u, v in received.items() if v >= floor or u == source}
     # Parcels reaching a node at different times rescan its out-edges;
-    # keep each edge once, in first-seen order.
+    # keep each edge once (the graph puts them back in ``sort_key`` order).
     sub = TransactionGraph(dict.fromkeys(edges_used), (source,))
     return TaintResult(sub, taint, held)
 

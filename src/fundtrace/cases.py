@@ -177,5 +177,5 @@ def case_records(case: PlantedCase) -> list[dict]:
         {"from": e.src, "to": e.tgt, "value": repr(e.amount),
          "timeStamp": str(e.timestamp), "tokenSymbol": e.token,
          "hash": e.hash}
-        for e in sorted(case.graph.edges, key=TransferEdge.sort_key)
+        for e in case.graph.edges
     ]

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import click
 
-from . import metrics
+from . import expansion, metrics
 from .cases import CaseSpec, case_records, generate_planted_case
 from .export import write_graphml, write_json
 from .providers import FileProvider, GraphProvider, HttpProvider, ProviderError
@@ -111,7 +111,7 @@ def trace(source, provider, out, format, chain_symbol, cache_dir, **params):
     except (OSError, ValueError) as exc:
         _fail(EXIT_CONFIG, "config-error", str(exc))
 
-    if result.trace is not None and result.trace.termination == "provider-error":
+    if result.trace and result.trace.termination == expansion.TERM_PROVIDER_ERROR:
         _fail(EXIT_PROVIDER, "provider-error", "expansion aborted mid-trace")
 
     provenance = dict(result.provenance)

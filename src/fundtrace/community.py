@@ -21,7 +21,7 @@ class Community:
     converged: bool
     # incremental conductance after each prefix of members, starting
     # with {source}; kept so the sweep can be audited step by step
-    sweep_conductances: list[float] = None
+    sweep_conductances: list[float]
 
 
 def boundary(members: set[str], graph: TransactionGraph) -> set[str]:

@@ -69,14 +69,13 @@ class _EdgeCache:
         graph = self._graphs.get(account)
         if graph is not None:
             return graph
-        edges = sorted(self.provider.fetch_edges(account),
-                       key=TransferEdge.sort_key)
-        if self.hub_cap is not None and len(edges) > self.hub_cap:
-            edges = edges[: self.hub_cap]
+        graph = TransactionGraph(self.provider.fetch_edges(account))
+        if self.hub_cap is not None and graph.num_edges > self.hub_cap:
+            graph = TransactionGraph(graph.edges[: self.hub_cap])
             self.hub_cap_hits.append(account)
-        graph = self._graphs[account] = TransactionGraph(edges)
+        self._graphs[account] = graph
         copies: dict[tuple, list[TransferEdge]] = {}
-        for e in edges:
+        for e in graph.edges:
             copies.setdefault(e.key(), []).append(e)
         for key, group in copies.items():
             if len(group) > len(self._edges.get(key, ())):
@@ -84,8 +83,7 @@ class _EdgeCache:
         return graph
 
     def merged_edges(self) -> list[TransferEdge]:
-        return sorted((e for group in self._edges.values() for e in group),
-                      key=TransferEdge.sort_key)
+        return [e for group in self._edges.values() for e in group]
 
 
 def run_expansion(source: str, provider: EdgeProvider, params: TraceParams,

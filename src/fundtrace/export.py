@@ -52,12 +52,12 @@ def write_graphml(path: str, graph: TransactionGraph, *,
                   source: str | None = None,
                   community: set[str] | None = None) -> None:
     """Write what networkx writes for a MultiDiGraph built node by node in
-    sorted order, then edge by edge in ``sort_key`` order: byte for byte
-    when the graph has a node and float amounts (an int amount is written
-    as a ``double`` here)."""
+    sorted order, then edge by edge in ``graph.edges`` order (which is
+    ``sort_key`` order): byte for byte when the graph has a node and float
+    amounts (an int amount is written as a ``double`` here)."""
     nodes = _node_attrs(graph, rank or {}, residuals or {}, source, community)
     pairs: dict[tuple[str, str], list[TransferEdge]] = {}
-    for e in sorted(graph.edges, key=TransferEdge.sort_key):
+    for e in graph.edges:
         pairs.setdefault((e.src, e.tgt), []).append(e)
     with open(path, "w", encoding="utf-8", errors="xmlcharrefreplace",
               newline="\n") as fh:
@@ -99,7 +99,7 @@ def graph_to_json(graph: TransactionGraph, *,
             {"src": e.src, "tgt": e.tgt, "amount": e.amount,
              "timestamp": e.timestamp, "token": e.token, "hash": e.hash,
              "pattern": graph.pattern(e).value}
-            for e in sorted(graph.edges, key=TransferEdge.sort_key)
+            for e in graph.edges
         ],
         "provenance": provenance or {},
     }

@@ -15,6 +15,7 @@ import logging
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 log = logging.getLogger("fundtrace")
@@ -46,7 +47,7 @@ class TransferEdge:
     src: str
     tgt: str
     amount: float
-    timestamp: int
+    timestamp: int  # integer seconds, as every ingest path yields
     token: str
     hash: str
 
@@ -59,31 +60,25 @@ class TransferEdge:
 
 
 class TransactionGraph:
-    """Immutable-after-build multigraph with timestamp-sorted adjacency.
+    """Immutable-after-build multigraph. ``edges`` and every adjacency
+    list are in ``TransferEdge.sort_key`` order. The time windows are
+    strict; timestamps are integers, so ``edges_after(node, ts - 1)``
+    starts at ``ts``.
 
     ``nodes`` adds accounts beyond the edge endpoints, such as a source
     with no edges. Swap tags are decided per node on first use.
     """
 
     def __init__(self, edges: Iterable[TransferEdge], nodes: Iterable[str] = ()):
-        self.edges: list[TransferEdge] = list(edges)
+        self.edges: list[TransferEdge] = sorted(edges, key=TransferEdge.sort_key)
         self.nodes: set[str] = set()
         self._out: dict[str, list[TransferEdge]] = {}
         self._in: dict[str, list[TransferEdge]] = {}
-        self._out_ts: dict[str, list[int]] = {}
-        self._in_ts: dict[str, list[int]] = {}
         for e in self.edges:
             self.nodes.add(e.src)
             self.nodes.add(e.tgt)
             self._out.setdefault(e.src, []).append(e)
             self._in.setdefault(e.tgt, []).append(e)
-        for adj in (self._out, self._in):
-            for lst in adj.values():
-                lst.sort(key=TransferEdge.sort_key)
-        for node, lst in self._out.items():
-            self._out_ts[node] = [e.timestamp for e in lst]
-        for node, lst in self._in.items():
-            self._in_ts[node] = [e.timestamp for e in lst]
         self.nodes.update(nodes)
         self._counter: dict[str, dict[TransferEdge, frozenset[str]]] = {}
         # ttr.redirect_set results, keyed by (node, edge, direction).
@@ -130,11 +125,8 @@ class TransactionGraph:
 
         token=None is a wildcard. The bound may be -inf (all edges match).
         """
-        lst = self._out.get(node)
-        if not lst:
-            return []
-        ts = self._out_ts[node]
-        picked = lst[bisect_right(ts, bound):]
+        lst = self._out.get(node, [])
+        picked = lst[bisect_right(lst, bound, key=attrgetter("timestamp")):]
         if token is not None:
             picked = [e for e in picked if e.token == token]
         return picked
@@ -145,11 +137,8 @@ class TransactionGraph:
 
         The bound may be +inf (all edges match).
         """
-        lst = self._in.get(node)
-        if not lst:
-            return []
-        ts = self._in_ts[node]
-        picked = lst[:bisect_left(ts, bound)]
+        lst = self._in.get(node, [])
+        picked = lst[:bisect_left(lst, bound, key=attrgetter("timestamp"))]
         if token is not None:
             picked = [e for e in picked if e.token == token]
         return picked
@@ -202,12 +191,14 @@ def _parse_record(rec: dict, line: int, chain_symbol: str) -> TransferEdge:
 
 
 def parse_records(records: Iterable[dict], chain_symbol: str, *,
-                  strict: bool = False) -> list[TransferEdge]:
+                  strict: bool = False, name: str = "") -> list[TransferEdge]:
     """Parse raw dict records into edges.
 
     A malformed record is logged at WARNING on the ``fundtrace`` logger
-    and skipped, unless strict, in which case it raises IngestError.
+    and skipped, unless strict, in which case it raises IngestError. The
+    WARNING ends with ``name``, such as a file path or ``tokentx for 0xab``.
     """
+    where = f" (in {name})" if name else ""
     edges = []
     for line, rec in enumerate(records, start=1):
         try:
@@ -215,17 +206,17 @@ def parse_records(records: Iterable[dict], chain_symbol: str, *,
         except IngestError as exc:
             if strict:
                 raise
-            log.warning("skipped %s", exc)
+            log.warning("skipped %s%s", exc, where)
     return edges
 
 
 def ingest_records(records: Iterable[dict], *, chain_symbol: str = "ETH",
-                   strict: bool = False) -> TransactionGraph:
+                   strict: bool = False, name: str = "") -> TransactionGraph:
     """Build a graph from raw dict records, skipping malformed ones as
     ``parse_records`` does. Identical records are kept: the graph is a
     multigraph."""
     return TransactionGraph(parse_records(records, chain_symbol,
-                                          strict=strict))
+                                          strict=strict, name=name))
 
 
 def iter_csv_records(text: io.TextIOBase | str) -> Iterator[dict]:
@@ -250,4 +241,5 @@ def load_graph(path: str, *, chain_symbol: str = "ETH",
         head = fh.read(1)
         fh.seek(0)
         records = iter_jsonl_records(fh) if head == "{" else iter_csv_records(fh)
-        return ingest_records(records, chain_symbol=chain_symbol, strict=strict)
+        return ingest_records(records, chain_symbol=chain_symbol,
+                              strict=strict, name=path)

@@ -159,5 +159,6 @@ class HttpProvider:
         edges: list[TransferEdge] = []
         for action in ("txlist", "tokentx"):
             edges += parse_records(self._request(account, action),
-                                   self.chain_symbol)
+                                   self.chain_symbol,
+                                   name=f"{action} for {account}")
         return edges

@@ -137,14 +137,10 @@ def redirect_set(edge: TransferEdge, graph: TransactionGraph, node: str,
         on_path.add(e.hash)
         if direction == "out":
             side = graph.edges_after(node, e.timestamp - 1)
-            earliest, latest = e.timestamp, float("inf")
         else:
             side = graph.edges_before(node, e.timestamp + 1)
-            earliest, latest = float("-inf"), e.timestamp
         candidates = [c for c in side
-                      if earliest <= c.timestamp <= latest
-                      and c.token in counter
-                      and c.hash != e.hash]
+                      if c.token in counter and c.hash != e.hash]
         stack.append((e.hash, iter(candidates)))
     graph._redirect[key] = result
     return result

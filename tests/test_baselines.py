@@ -46,9 +46,11 @@ class TestPoison:
         g = build_graph([
             ("s", "a", 1.0, 10, "T", "h1"),
             ("a", "c", 1.0, 5, "T", "h2"),  # dated before a got dirty
+            ("a", "d", 1.0, 10, "T", "h3"),  # dated when a got dirty
         ])
         res = poison_trace(g, "s", 2)
         assert "c" not in res.taint
+        assert "d" in res.taint
 
     def test_diamond_counted_once(self):
         g = build_graph([

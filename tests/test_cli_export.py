@@ -279,6 +279,7 @@ class TestTraceCommand:
                     if r.levelno == logging.WARNING]
         assert len(warnings) == 1
         assert warnings[0].startswith("skipped record 2:")
+        assert warnings[0].endswith(f"(in {edges})")
         payload = json.loads((tmp_path / "o.json").read_text())
         assert set(payload["nodes"]) <= {"a", "b", "c"}
 

@@ -9,6 +9,7 @@ from conftest import (build_graph, multihop_swap_rows, random_txgraph,
 from fundtrace.expansion import (TERM_BUDGET, TERM_CONVERGED,
                                  TERM_PROVIDER_ERROR, _EdgeCache, pop,
                                  run_expansion)
+from fundtrace.graph import TransferEdge
 from fundtrace.providers import GraphProvider, ProviderError
 from fundtrace.ttr import ResidualLedger, TraceParams, local_push
 
@@ -197,6 +198,12 @@ def test_hub_cap_recorded():
     result = run_expansion("s", GraphProvider(g), TraceParams(),
                            hub_cap=10)
     assert "hub" in result.hub_cap_hits
+    # The cap keeps the first 10 incident edges in sort_key order, and the
+    # funding edge, listed last by incident_edges, sorts first.
+    cache = _EdgeCache(GraphProvider(g), hub_cap=10)
+    incident = sorted(g.incident_edges("hub"), key=TransferEdge.sort_key)
+    assert cache.expand("hub").edges == incident[:10]
+    assert cache.hub_cap_hits == ["hub"]
 
 
 def test_hub_expands_in_bounded_time():

@@ -198,6 +198,7 @@ def test_adjacency_invariants(seed):
     out_total = sum(len(g.out_edges(u)) for u in g.nodes)
     in_total = sum(len(g.in_edges(u)) for u in g.nodes)
     assert out_total == in_total == g.num_edges
+    assert g.edges == sorted(g.edges, key=TransferEdge.sort_key)
     for u in g.nodes:
         for lst in (g.out_edges(u), g.in_edges(u)):
             ts = [e.timestamp for e in lst]

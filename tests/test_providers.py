@@ -102,7 +102,8 @@ class TestHttpProvider:
         assert [e.tgt for e in edges] == ["b", "d"]
         warnings = [r.getMessage() for r in caplog.records
                     if r.levelno == logging.WARNING]
-        assert warnings == ["skipped record 2: negative timestamp -20"]
+        assert warnings == [
+            "skipped record 2: negative timestamp -20 (in tokentx for a)"]
 
     def test_retry_then_success(self):
         import requests
