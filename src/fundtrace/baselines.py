@@ -92,8 +92,8 @@ def haircut_trace(graph: TransactionGraph, source: str,
     held: dict[str, float] = {source: initial}
     edges_used: list[TransferEdge] = []
     # Parcels processed in chronological order; seq breaks heap ties.
-    # Subsequent hops need a strictly later timestamp, so every parcel
-    # path has strictly increasing times and propagation terminates.
+    # Subsequent hops need a later timestamp, never an equal one, so the
+    # times rise along every parcel path and propagation terminates.
     heap: list[tuple[float, int, str, float]] = [(float("-inf"), 0, source, initial)]
     seq = 1
     while heap:

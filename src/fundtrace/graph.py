@@ -9,14 +9,14 @@ transfer at the other.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import logging
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from operator import attrgetter
-from typing import Iterable, Iterator, Sequence
+from operator import attrgetter, itemgetter
+from typing import Iterable, Sequence
 
 log = logging.getLogger("fundtrace")
 
@@ -26,15 +26,6 @@ class Pattern(Enum):
     SWAP = "swap"
 
 
-class IngestError(ValueError):
-    """Raised in strict mode when a record cannot be parsed."""
-
-    def __init__(self, line: int, reason: str):
-        super().__init__(f"record {line}: {reason}")
-        self.line = line
-        self.reason = reason
-
-
 def normalize_account(raw: str) -> str:
     acct = raw.strip().lower()
     if not acct:
@@ -42,7 +33,7 @@ def normalize_account(raw: str) -> str:
     return acct
 
 
-@dataclass(eq=False, frozen=True)
+@dataclass(eq=False, frozen=True, slots=True)
 class TransferEdge:
     src: str
     tgt: str
@@ -61,9 +52,9 @@ class TransferEdge:
 
 class TransactionGraph:
     """Immutable-after-build multigraph. ``edges`` and every adjacency
-    list are in ``TransferEdge.sort_key`` order. The time windows are
-    strict; timestamps are integers, so ``edges_after(node, ts - 1)``
-    starts at ``ts``.
+    list are in ``TransferEdge.sort_key`` order. The time windows
+    exclude their bound; timestamps are integers, so
+    ``edges_after(node, ts - 1)`` starts at ``ts``.
 
     ``nodes`` adds accounts beyond the edge endpoints, such as a source
     with no edges. Swap tags are decided per node on first use.
@@ -121,7 +112,7 @@ class TransactionGraph:
 
     def edges_after(self, node: str, bound: float,
                     token: str | None = None) -> list[TransferEdge]:
-        """Outgoing edges of node strictly after the bound timestamp.
+        """Outgoing edges of node later than the bound timestamp.
 
         token=None is a wildcard. The bound may be -inf (all edges match).
         """
@@ -133,7 +124,7 @@ class TransactionGraph:
 
     def edges_before(self, node: str, bound: float,
                      token: str | None = None) -> list[TransferEdge]:
-        """Incoming edges of node strictly before the bound timestamp.
+        """Incoming edges of node earlier than the bound timestamp.
 
         The bound may be +inf (all edges match).
         """
@@ -171,75 +162,82 @@ def classify_patterns(node: str, edges: Sequence[TransferEdge]
     return tags
 
 
-def _parse_record(rec: dict, line: int, chain_symbol: str) -> TransferEdge:
+_REQUIRED = ("from", "to", "value", "timeStamp", "hash")
+_required = itemgetter(*_REQUIRED)
+
+
+def _parse_record(rec: dict | str, chain_symbol: str,
+                  names: dict[str, str]) -> TransferEdge:
+    """The edge of one record: a dict, or a JSON-lines line holding one.
+    Its account and token strings are the copies held in ``names``.
+    Raises ValueError, saying why, when the record is malformed."""
+    if not isinstance(rec, dict):
+        rec = json.loads(rec) if isinstance(rec, str) else None
+        if not isinstance(rec, dict):
+            raise ValueError("not a JSON object")
     try:
-        src = normalize_account(str(rec["from"]))
-        tgt = normalize_account(str(rec["to"]))
-        amount = float(str(rec["value"]))
-        timestamp = int(str(rec["timeStamp"]))
-        token = str(rec.get("tokenSymbol") or chain_symbol).strip()
-        txhash = str(rec["hash"]).strip().lower()
-    except (KeyError, ValueError, TypeError) as exc:
-        raise IngestError(line, str(exc)) from exc
+        raw_src, raw_tgt, value, ts, raw_hash = fields = _required(rec)
+    except KeyError as exc:
+        raise ValueError(f"no {exc.args[0]}") from None
+    if None in fields:  # a JSON null, which str() would make "None"
+        raise ValueError(f"no {_REQUIRED[fields.index(None)]}")
+    src = normalize_account(str(raw_src))
+    tgt = normalize_account(str(raw_tgt))
+    # str() first, so that a JSON 2.5 timestamp or a true value is refused.
+    amount = float(str(value))
+    timestamp = int(str(ts))
+    token = str(rec.get("tokenSymbol") or chain_symbol).strip()
+    txhash = str(raw_hash).strip().lower()
+    if not math.isfinite(amount):
+        raise ValueError(f"amount {amount} is not finite")
     if amount < 0:
-        raise IngestError(line, f"negative amount {amount}")
+        raise ValueError(f"negative amount {amount}")
     if timestamp < 0:
-        raise IngestError(line, f"negative timestamp {timestamp}")
+        raise ValueError(f"negative timestamp {timestamp}")
     if not token or not txhash:
-        raise IngestError(line, "missing token symbol or hash")
-    return TransferEdge(src, tgt, amount, timestamp, token, txhash)
+        raise ValueError("missing token symbol or hash")
+    share = names.setdefault
+    return TransferEdge(share(src, src), share(tgt, tgt), amount, timestamp,
+                        share(token, token), txhash)
 
 
-def parse_records(records: Iterable[dict], chain_symbol: str, *,
-                  strict: bool = False, name: str = "") -> list[TransferEdge]:
-    """Parse raw dict records into edges.
+def parse_records(records: Iterable[dict | str], chain_symbol: str,
+                  name: str) -> list[TransferEdge]:
+    """Parse records into edges. A record is a dict, or a JSON-lines line
+    holding one; a missing or empty ``tokenSymbol`` is ``chain_symbol``.
+    Edges with the same account or token share one string object for it.
 
-    A malformed record is logged at WARNING on the ``fundtrace`` logger
-    and skipped, unless strict, in which case it raises IngestError. The
-    WARNING ends with ``name``, such as a file path or ``tokentx for 0xab``.
+    A malformed record is skipped and logged at WARNING on the
+    ``fundtrace`` logger as ``skipped record N: <reason> (in <name>)``,
+    where ``name`` says where the records came from, such as a file path
+    or ``tokentx for 0xab``.
     """
-    where = f" (in {name})" if name else ""
     edges = []
-    for line, rec in enumerate(records, start=1):
+    # Local to the batch, not sys.intern: per-fetch API parses churn the
+    # interpreter's interned-string table, whose resizes raise peak memory.
+    names: dict[str, str] = {}
+    for n, rec in enumerate(records, start=1):
         try:
-            edges.append(_parse_record(rec, line, chain_symbol))
-        except IngestError as exc:
-            if strict:
-                raise
-            log.warning("skipped %s%s", exc, where)
+            edges.append(_parse_record(rec, chain_symbol, names))
+        except ValueError as exc:
+            log.warning("skipped record %d: %s (in %s)", n, exc, name)
     return edges
 
 
-def ingest_records(records: Iterable[dict], *, chain_symbol: str = "ETH",
-                   strict: bool = False, name: str = "") -> TransactionGraph:
-    """Build a graph from raw dict records, skipping malformed ones as
-    ``parse_records`` does. Identical records are kept: the graph is a
+def load_graph(path: str, *, chain_symbol: str = "ETH") -> TransactionGraph:
+    """Ingest an edge file: JSON lines when its first character is ``{``,
+    CSV with a header row otherwise. Records are parsed as
+    ``parse_records`` does; identical records are kept, as the graph is a
     multigraph."""
-    return TransactionGraph(parse_records(records, chain_symbol,
-                                          strict=strict, name=name))
-
-
-def iter_csv_records(text: io.TextIOBase | str) -> Iterator[dict]:
-    if isinstance(text, str):
-        text = io.StringIO(text)
-    yield from csv.DictReader(text)
-
-
-def iter_jsonl_records(text: io.TextIOBase | str) -> Iterator[dict]:
-    if isinstance(text, str):
-        text = io.StringIO(text)
-    for line in text:
-        line = line.strip()
-        if line:
-            yield json.loads(line)
-
-
-def load_graph(path: str, *, chain_symbol: str = "ETH",
-               strict: bool = False) -> TransactionGraph:
-    """Ingest a CSV or JSON-lines edge file (sniffed by first character)."""
     with open(path, "r", encoding="utf-8") as fh:
         head = fh.read(1)
         fh.seek(0)
-        records = iter_jsonl_records(fh) if head == "{" else iter_csv_records(fh)
-        return ingest_records(records, chain_symbol=chain_symbol,
-                              strict=strict, name=path)
+        if head == "{":
+            records = (line for line in fh if line.strip())
+        else:
+            # csv.DictReader's work in a quarter less time. A short row
+            # lacks its last keys, so it is skipped for a missing field.
+            rows = csv.reader(fh)
+            header = next(rows, [])
+            records = (dict(zip(header, row)) for row in rows if row)
+        return TransactionGraph(parse_records(records, chain_symbol, path))

@@ -83,6 +83,22 @@ def multihop_swap_rows(seed, n_nodes=20, n_edges=40, n_swaps=12):
     return rows
 
 
+def swap_bot_chain(k):
+    """A bot funded in usdc that swaps usdc<->weth k times with a DEX, one
+    hash per swap, then spends what it holds in three transfers."""
+    rows = [("src", "bot", 500.0, 1_000, "usdc", "h0")]
+    held, ts = "usdc", 1_010
+    for i in range(k):
+        other = "weth" if held == "usdc" else "usdc"
+        rows.append(("bot", "dex", 1.0, ts, held, f"w{i}"))
+        rows.append(("dex", "bot", 1.0, ts, other, f"w{i}"))
+        held, ts = other, ts + 10
+    rows += [("bot", f"out{m}", 1.0, ts + m, held, f"o{m}") for m in range(3)]
+    graph = build_graph(rows)
+    first_swap = [e for e in graph.out_edges("bot") if e.hash == "w0"][0]
+    return graph, first_swap
+
+
 def tagged_edges(graph):
     """Each edge with its pattern and its counter tokens at both ends."""
     return sorted((e.sort_key(), graph.pattern(e).value,

@@ -11,7 +11,7 @@ from conftest import (FIG_SWAP_ROWS, build_graph, random_txgraph,
 from fundtrace.cli import (EXIT_CONFIG, EXIT_NOT_CONVERGED, EXIT_OK, main)
 from fundtrace.export import (graph_from_json, graph_to_json, read_json,
                               write_graphml, write_json)
-from fundtrace.graph import Pattern, TransferEdge
+from fundtrace.graph import Pattern, TransferEdge, load_graph
 
 GRAPHML_NS = "{http://graphml.graphdrawing.org/xmlns}"
 
@@ -266,22 +266,30 @@ class TestTraceCommand:
                if k not in ("out", "cache_dir")}, "source": "a"}
 
     def test_malformed_row_logged_and_skipped(self, tmp_path, caplog):
-        caplog.set_level(logging.WARNING, logger="fundtrace")
-        edges = tmp_path / "edges.csv"
-        edges.write_text("from,to,value,timeStamp,tokenSymbol,hash\n"
-                         "a,b,10,5,T,h1\n"
-                         "b,c,oops,7,T,h2\n"
-                         "b,c,4,8,T,h3\n")
-        res = self.run(["trace", "--source", "a", "--provider", str(edges),
-                        "--out", str(tmp_path / "o.json")])
-        assert res.exit_code == EXIT_OK, res.output
-        warnings = [r.getMessage() for r in caplog.records
-                    if r.levelno == logging.WARNING]
-        assert len(warnings) == 1
-        assert warnings[0].startswith("skipped record 2:")
-        assert warnings[0].endswith(f"(in {edges})")
-        payload = json.loads((tmp_path / "o.json").read_text())
-        assert set(payload["nodes"]) <= {"a", "b", "c"}
+        csv_edges = tmp_path / "edges.csv"
+        csv_edges.write_text("from,to,value,timeStamp,tokenSymbol,hash\n"
+                             "a,b,10,5,T,h1\n"
+                             "b,c,oops,7,T,h2\n"
+                             "b,c,4,8,T,h3\n")
+        jsonl_edges = tmp_path / "edges.jsonl"
+        jsonl_edges.write_text(
+            '{"from":"a","to":"b","value":"10","timeStamp":"5","hash":"h1"}\n'
+            '{"from":"b","to":"c","value":"4",,"timeStamp":"7","hash":"h2"}\n'
+            '{"from":"b","to":"c","value":"4","timeStamp":"8","hash":"h3"}\n')
+        for edges in (csv_edges, jsonl_edges):
+            caplog.clear()
+            caplog.set_level(logging.WARNING, logger="fundtrace")
+            res = self.run(["trace", "--source", "a", "--provider",
+                            str(edges), "--out", str(tmp_path / "o.json")])
+            assert res.exit_code == EXIT_OK, res.output
+            warnings = [r.getMessage() for r in caplog.records
+                        if r.levelno == logging.WARNING]
+            assert len(warnings) == 1
+            assert warnings[0].startswith("skipped record 2:")
+            assert warnings[0].endswith(f"(in {edges})")
+            payload = json.loads((tmp_path / "o.json").read_text())
+            assert set(payload["nodes"]) <= {"a", "b", "c"}
+            assert load_graph(str(edges)).num_edges == 2
 
     def test_missing_required_options(self):
         res = self.run(["trace"])
@@ -445,7 +453,6 @@ class TestCompareAndGen:
         res = self.run(["gen-case", "--seed", "3", "--out", str(spec_path),
                         "--edges-out", str(edges_path)])
         assert res.exit_code == EXIT_OK
-        from fundtrace.graph import load_graph
         g = load_graph(str(edges_path))
         assert "src" in g.nodes
         assert g.num_edges > 0

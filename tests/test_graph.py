@@ -1,26 +1,30 @@
-import io
+import gc
 import logging
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import build_graph, multihop_swap_rows, random_txgraph
-from fundtrace.graph import (IngestError, Pattern, TransactionGraph,
-                             TransferEdge, classify_patterns, ingest_records,
-                             iter_csv_records, iter_jsonl_records,
-                             normalize_account)
+from fundtrace.graph import (Pattern, TransactionGraph, TransferEdge,
+                             classify_patterns, load_graph, normalize_account,
+                             parse_records)
+
+
+def ingest(records, chain_symbol="ETH"):
+    return TransactionGraph(parse_records(records, chain_symbol, "records"))
 
 
 def test_empty_input():
-    g = ingest_records([])
+    g = ingest([])
     assert len(g) == 0
     assert g.num_edges == 0
 
 
 def test_two_unrelated_records_are_xfer():
-    g = ingest_records([
+    g = ingest([
         {"from": "A", "to": "B", "value": "10", "timeStamp": "5",
          "tokenSymbol": "T1", "hash": "h1"},
         {"from": "B", "to": "C", "value": "4", "timeStamp": "7",
@@ -34,7 +38,7 @@ def test_two_unrelated_records_are_xfer():
 
 
 def test_swap_classification_with_counter_tokens():
-    g = ingest_records([
+    g = ingest([
         {"from": "u", "to": "DEX", "value": "100", "timeStamp": "5",
          "tokenSymbol": "USDC", "hash": "h2"},
         {"from": "DEX", "to": "u", "value": "0.05", "timeStamp": "5",
@@ -95,35 +99,35 @@ def test_counter_tokens_match_oracle_on_multihop_swaps():
 
 def test_malformed_records_skipped_with_line_numbers(caplog):
     caplog.set_level(logging.WARNING, logger="fundtrace")
-    g = ingest_records([
+    g = ingest([
         {"from": "A", "to": "B", "value": "10", "timeStamp": "5",
          "tokenSymbol": "T", "hash": "h1"},
         {"from": "A", "to": "B", "value": "not-a-number", "timeStamp": "5",
          "tokenSymbol": "T", "hash": "h2"},
         {"from": "A", "to": "B", "value": "-4", "timeStamp": "5",
          "tokenSymbol": "T", "hash": "h3"},
+        {"from": "A", "to": "B", "value": "nan", "timeStamp": "5",
+         "tokenSymbol": "T", "hash": "h4"},
+        {"from": "A", "to": "B", "value": "inf", "timeStamp": "5",
+         "tokenSymbol": "T", "hash": "h5"},
     ])
     assert g.num_edges == 1
     skipped = [r.getMessage() for r in caplog.records
                if r.name == "fundtrace" and r.levelno == logging.WARNING]
-    assert [m.split(":")[0] for m in skipped] == ["skipped record 2",
-                                                  "skipped record 3"]
-
-
-def test_strict_mode_aborts():
-    with pytest.raises(IngestError):
-        ingest_records([{"from": "A"}], strict=True)
+    assert [m.split(":")[0] for m in skipped] == [
+        "skipped record 2", "skipped record 3", "skipped record 4",
+        "skipped record 5"]
 
 
 def test_duplicate_records_kept():
     rec = {"from": "A", "to": "B", "value": "1", "timeStamp": "1",
            "tokenSymbol": "T", "hash": "h1"}
-    g = ingest_records([rec, dict(rec)])
+    g = ingest([rec, dict(rec)])
     assert g.num_edges == 2
 
 
 def test_case_normalization_merges_accounts():
-    g = ingest_records([
+    g = ingest([
         {"from": "0xAbC", "to": "0xDeF", "value": "1", "timeStamp": "1",
          "tokenSymbol": "T", "hash": "h1"},
         {"from": "0xABC", "to": "0xdef", "value": "1", "timeStamp": "2",
@@ -138,22 +142,94 @@ def test_normalize_rejects_empty():
 
 
 def test_chain_symbol_default_for_native_rows():
-    g = ingest_records([
+    g = ingest([
         {"from": "a", "to": "b", "value": "1", "timeStamp": "1",
          "tokenSymbol": "", "hash": "h1"},
     ], chain_symbol="BNB")
     assert g.edges[0].token == "BNB"
 
 
-def test_csv_and_jsonl_ingestion_agree():
-    csv_text = ("from,to,value,timeStamp,tokenSymbol,hash\n"
-                "a,b,10,5,T1,h1\nb,c,4,7,T1,h2\n")
-    jsonl_text = (
+def test_csv_and_jsonl_ingestion_agree(tmp_path):
+    csv_path = tmp_path / "edges.csv"
+    csv_path.write_text("from,to,value,timeStamp,tokenSymbol,hash\n"
+                        "a,b,10,5,T1,h1\nb,c,4,7,T1,h2\n")
+    jsonl_path = tmp_path / "edges.jsonl"
+    jsonl_path.write_text(
         '{"from":"a","to":"b","value":"10","timeStamp":"5","tokenSymbol":"T1","hash":"h1"}\n'
+        '\n'
         '{"from":"b","to":"c","value":"4","timeStamp":"7","tokenSymbol":"T1","hash":"h2"}\n')
-    g1 = ingest_records(iter_csv_records(io.StringIO(csv_text)))
-    g2 = ingest_records(iter_jsonl_records(io.StringIO(jsonl_text)))
+    g1 = load_graph(str(csv_path))
+    g2 = load_graph(str(jsonl_path))
+    assert g1.num_edges == 2
     assert [e.key() for e in g1.edges] == [e.key() for e in g2.edges]
+
+
+def test_missing_or_null_field_skips_record(tmp_path, caplog):
+    caplog.set_level(logging.WARNING, logger="fundtrace")
+    # A short CSV row reads as None; so does a JSON null.
+    short = tmp_path / "short.csv"
+    short.write_text("from,to,value,timeStamp,tokenSymbol,hash\n"
+                     "a,b,5,100\n"
+                     "b,a,3,100,USDT\n")
+    nulls = tmp_path / "nulls.jsonl"
+    nulls.write_text(
+        '{"from":"a","to":null,"value":"5","timeStamp":"1","hash":"h1"}\n'
+        '{"from":"a","to":"b","value":"5","timeStamp":"1","hash":null}\n'
+        '{"from":"a","to":"b","value":"5","timeStamp":"1",'
+        '"tokenSymbol":null,"hash":"h2"}\n')
+    assert load_graph(str(short)).num_edges == 0
+    g = load_graph(str(nulls), chain_symbol="BNB")
+    assert [(e.token, e.hash) for e in g.edges] == [("BNB", "h2")]
+    warnings = [r.getMessage() for r in caplog.records
+                if r.levelno == logging.WARNING]
+    assert warnings == [f"skipped record 1: no hash (in {short})",
+                        f"skipped record 2: no hash (in {short})",
+                        f"skipped record 1: no to (in {nulls})",
+                        f"skipped record 2: no hash (in {nulls})"]
+
+
+def _write_wide_edge_file(path, rows, accounts):
+    """A CSV edge file with Ethereum-width fields: 42-character
+    addresses and 66-character transaction hashes."""
+    rng = random.Random(3)
+    addresses = [f"0x{rng.getrandbits(160):040x}" for _ in range(accounts)]
+    tokens = ["ETH", "USDT", "USDC", "WETH", "DAI"]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("from,to,value,timeStamp,tokenSymbol,hash\n")
+        for _ in range(rows):
+            src, tgt = rng.sample(addresses, 2)
+            fh.write(f"{src},{tgt},{rng.uniform(0.5, 100.0)!r},"
+                     f"{rng.randint(1, 10**9)},{rng.choice(tokens)},"
+                     f"0x{rng.getrandbits(256):064x}\n")
+
+
+# Retained tracemalloc bytes per edge of the 20k-row file below, with 10%
+# headroom. Edges without __dict__ and one string per account and token
+# keep it near 60% of what a dict-backed edge holding its own copies needs.
+MAX_BYTES_PER_EDGE = 1.1 * 308.5
+
+
+def test_load_graph_memory_per_edge(tmp_path):
+    path = tmp_path / "wide.csv"
+    _write_wide_edge_file(path, rows=20_000, accounts=2_000)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        g = load_graph(str(path))
+        gc.collect()
+        per_edge = (tracemalloc.get_traced_memory()[0] - start) / g.num_edges
+    finally:
+        tracemalloc.stop()
+    assert g.num_edges == 20_000
+    assert per_edge < MAX_BYTES_PER_EDGE, f"{per_edge:.1f} B per edge"
+    edge = g.edges[0]
+    assert not hasattr(edge, "__dict__")
+    # One string object per account and per token, shared by its edges.
+    later = g.out_edges(edge.tgt)[0]
+    assert later.src is edge.tgt
+    same_token = next(e for e in g.edges[1:] if e.token == edge.token)
+    assert same_token.token is edge.token
 
 
 def test_edges_after_strict_inequality():

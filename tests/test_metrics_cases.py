@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import build_graph
 from fundtrace.cases import (CaseSpec, case_records, generate_planted_case)
-from fundtrace.graph import Pattern, ingest_records
+from fundtrace.graph import Pattern, TransactionGraph, parse_records
 from fundtrace.metrics import recall, topn_curve, topn_recall, tracing_depth
 
 
@@ -119,7 +119,8 @@ class TestPlantedCases:
     def test_records_round_trip_through_ingestion(self, caplog):
         caplog.set_level(logging.WARNING, logger="fundtrace")
         case = generate_planted_case(CaseSpec(seed=6))
-        graph = ingest_records(case_records(case))
+        graph = TransactionGraph(parse_records(case_records(case), "ETH",
+                                               "case records"))
         assert [r for r in caplog.records
                 if r.levelno >= logging.WARNING] == []
         assert graph.nodes == case.graph.nodes

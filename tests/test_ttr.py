@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FIG_SWAP_ROWS, build_graph, random_txgraph, seeded_trace
+from conftest import (FIG_SWAP_ROWS, build_graph, random_txgraph,
+                      seeded_trace, swap_bot_chain)
 from fundtrace.graph import Pattern
 from fundtrace.expansion import TERM_BUDGET, run_expansion
 from fundtrace.providers import GraphProvider
@@ -200,23 +201,6 @@ def test_redirect_matches_naive_on_random_swap_graphs():
                     assert got == want
                     # the memoised answer repeats the first, in order
                     assert redirect_set(e, g, u, direction) == first
-
-
-
-def swap_bot_chain(k):
-    """A bot funded in usdc that swaps usdc<->weth k times with a DEX, one
-    hash per swap, then spends what it holds in three transfers."""
-    rows = [("src", "bot", 500.0, 1_000, "usdc", "h0")]
-    held, ts = "usdc", 1_010
-    for i in range(k):
-        other = "weth" if held == "usdc" else "usdc"
-        rows.append(("bot", "dex", 1.0, ts, held, f"w{i}"))
-        rows.append(("dex", "bot", 1.0, ts, other, f"w{i}"))
-        held, ts = other, ts + 10
-    rows += [("bot", f"out{m}", 1.0, ts + m, held, f"o{m}") for m in range(3)]
-    graph = build_graph(rows)
-    first_swap = [e for e in graph.out_edges("bot") if e.hash == "w0"][0]
-    return graph, first_swap
 
 
 def test_redirect_swap_chain_costs_one_lookup_per_leg(monkeypatch):
