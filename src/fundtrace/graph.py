@@ -12,13 +12,17 @@ import csv
 import json
 import logging
 import math
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 from operator import attrgetter, itemgetter
 from typing import Iterable, Sequence
 
 log = logging.getLogger("fundtrace")
+
+_timestamp = attrgetter("timestamp")
 
 
 class Pattern(Enum):
@@ -75,6 +79,10 @@ class TransactionGraph:
         # ttr.redirect_set results, keyed by (node, edge, direction).
         self._redirect: dict[tuple[str, TransferEdge, str],
                              list[TransferEdge]] = {}
+        # token_window lists and their window sums, keyed by
+        # (node, token, direction).
+        self._windows: dict[tuple[str, str | None, str],
+                            tuple[Sequence[TransferEdge], array]] = {}
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -94,14 +102,19 @@ class TransactionGraph:
         return list(self._out.get(node, ())) + [
             e for e in self._in.get(node, ()) if e.src != node]
 
-    def counter_tokens(self, node: str, edge: TransferEdge) -> frozenset[str]:
-        """Tokens that ``edge`` is exchanged against at ``node``; empty
-        when the edge is a transfer leg there."""
+    def swap_legs(self, node: str) -> dict[TransferEdge, frozenset[str]]:
+        """The Swap legs at ``node``, each with the tokens it is exchanged
+        against there."""
         tags = self._counter.get(node)
         if tags is None:
             tags = self._counter[node] = classify_patterns(
                 node, self.incident_edges(node))
-        return tags.get(edge, frozenset())
+        return tags
+
+    def counter_tokens(self, node: str, edge: TransferEdge) -> frozenset[str]:
+        """Tokens that ``edge`` is exchanged against at ``node``; empty
+        when the edge is a transfer leg there."""
+        return self.swap_legs(node).get(edge, frozenset())
 
     def pattern(self, edge: TransferEdge) -> Pattern:
         """Swap when the edge is a Swap leg at either endpoint."""
@@ -110,29 +123,62 @@ class TransactionGraph:
             return Pattern.SWAP
         return Pattern.XFER
 
-    def edges_after(self, node: str, bound: float,
-                    token: str | None = None) -> list[TransferEdge]:
-        """Outgoing edges of node later than the bound timestamp.
-
-        token=None is a wildcard. The bound may be -inf (all edges match).
-        """
+    def edges_after(self, node: str, bound: float) -> list[TransferEdge]:
+        """Outgoing edges of node later than the bound timestamp. The
+        bound may be -inf (all edges match)."""
         lst = self._out.get(node, [])
-        picked = lst[bisect_right(lst, bound, key=attrgetter("timestamp")):]
-        if token is not None:
-            picked = [e for e in picked if e.token == token]
-        return picked
+        return lst[bisect_right(lst, bound, key=_timestamp):]
 
-    def edges_before(self, node: str, bound: float,
-                     token: str | None = None) -> list[TransferEdge]:
-        """Incoming edges of node earlier than the bound timestamp.
-
-        The bound may be +inf (all edges match).
-        """
+    def edges_before(self, node: str, bound: float) -> list[TransferEdge]:
+        """Incoming edges of node earlier than the bound timestamp. The
+        bound may be +inf (all edges match)."""
         lst = self._in.get(node, [])
-        picked = lst[:bisect_left(lst, bound, key=attrgetter("timestamp"))]
+        return lst[:bisect_left(lst, bound, key=_timestamp)]
+
+    def token_window(self, node: str, token: str | None, direction: str,
+                     bound: float
+                     ) -> tuple[Sequence[TransferEdge], int, float]:
+        """The window of ``node``'s ``token`` edges at ``bound``.
+
+        Returns ``(edges, k, amount_sum)``. ``edges`` are the node's
+        outgoing (``direction`` "out") or incoming ("in") edges of
+        ``token``, of every token when it is None, in ``sort_key`` order.
+        The window is ``edges[k:]``, the edges later than the bound, for
+        "out", and ``edges[:k]``, the edges earlier than it, for "in";
+        ``amount_sum`` is the sum of its amounts.
+
+        Each list is built on first use and kept with its window sums; a
+        list that holds every edge on its side is the adjacency list.
+        """
+        key = (node, token, direction)
+        try:
+            edges, sums = self._windows[key]
+        except KeyError:
+            edges, sums = self._windows[key] = self._token_list(*key)
+        if direction == "out":
+            k = bisect_right(edges, bound, key=_timestamp)
+        else:
+            k = bisect_left(edges, bound, key=_timestamp)
+        return edges, k, sums[k]
+
+    def _token_list(self, node: str, token: str | None, direction: str
+                    ) -> tuple[Sequence[TransferEdge], array]:
+        side = (self._out if direction == "out" else self._in).get(node, ())
+        edges = side
         if token is not None:
-            picked = [e for e in picked if e.token == token]
-        return picked
+            edges = [e for e in side if e.token == token]
+            if len(edges) == len(side):
+                edges = side
+        # sums[k] is the amount sum of the window at k, added up edge by
+        # edge: an all-zero window sums to exactly 0.0.
+        if direction == "out":
+            sums = array("d", accumulate(
+                (e.amount for e in reversed(edges)), initial=0.0))
+            sums.reverse()
+        else:
+            sums = array("d", accumulate(
+                (e.amount for e in edges), initial=0.0))
+        return edges, sums
 
 
 def classify_patterns(node: str, edges: Sequence[TransferEdge]
@@ -172,7 +218,10 @@ def _parse_record(rec: dict | str, chain_symbol: str,
     Its account and token strings are the copies held in ``names``.
     Raises ValueError, saying why, when the record is malformed."""
     if not isinstance(rec, dict):
-        rec = json.loads(rec) if isinstance(rec, str) else None
+        try:
+            rec = json.loads(rec) if isinstance(rec, str) else None
+        except RecursionError:
+            raise ValueError("JSON nested too deeply") from None
         if not isinstance(rec, dict):
             raise ValueError("not a JSON object")
     try:
@@ -196,6 +245,14 @@ def _parse_record(rec: dict | str, chain_symbol: str,
         raise ValueError(f"negative timestamp {timestamp}")
     if not token or not txhash:
         raise ValueError("missing token symbol or hash")
+    if not (src + tgt + token + txhash).isascii():
+        # A file is read with errors="surrogateescape": an undecodable
+        # byte is a lone surrogate, which no output could encode.
+        for text in (src, tgt, token, txhash):
+            try:
+                text.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ValueError(f"text {ascii(text)} is not UTF-8") from None
     share = names.setdefault
     return TransferEdge(share(src, src), share(tgt, tgt), amount, timestamp,
                         share(token, token), txhash)
@@ -228,8 +285,9 @@ def load_graph(path: str, *, chain_symbol: str = "ETH") -> TransactionGraph:
     """Ingest an edge file: JSON lines when its first character is ``{``,
     CSV with a header row otherwise. Records are parsed as
     ``parse_records`` does; identical records are kept, as the graph is a
-    multigraph."""
-    with open(path, "r", encoding="utf-8") as fh:
+    multigraph. The file is UTF-8; a record whose account, token or hash
+    holds a byte that does not decode is skipped."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         head = fh.read(1)
         fh.seek(0)
         if head == "{":

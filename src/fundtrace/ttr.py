@@ -2,16 +2,22 @@
 
 Residual mass is keyed by (account, timestamp, token). A push converts
 an alpha fraction of a node's residual into rank and forwards the rest:
-a beta share through outgoing edges later than the residual's timestamp,
-a (1-beta) share through incoming edges earlier than it, each split
-across edges by amount. Swap legs at the pushing account do not receive
-mass directly; it is redirected to the continuation edges of the
-exchanged token.
+a beta share through outgoing edges of its token later than the
+residual's timestamp, a (1-beta) share through incoming edges of its
+token earlier than it, each split across edges by amount. Swap legs at
+the pushing account do not receive mass directly; it is redirected to
+the continuation edges of the exchanged token.
+
+A push spreads all of a node's entries of one token and direction in a
+single temporal sweep over that token's edges, so it costs
+O(entries * log d + window) for d edges at the node, not
+O(entries * window): see ``local_push``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from itertools import pairwise
+from typing import Iterator, Sequence
 
 from .graph import TransactionGraph, TransferEdge
 
@@ -156,6 +162,20 @@ def local_push(node: str, graph: TransactionGraph, params: TraceParams,
     with no continuation). Returns ``dropped`` plus the mass dropped here,
     added leg by leg, so a caller that passes its running tally back in
     sums every dropped leg in one order.
+
+    The push is linear in the residual, so each (token, direction) of the
+    node's entries is one temporal sweep. Entry i, of mass v_i, bisects
+    into the node's edges of its token (``TransactionGraph.token_window``).
+    At its window's first edge in sweep order it adds v_i/S_i to a
+    per-amount coefficient w, where S_i is the window's amount sum, or
+    v_i/n_i to a per-edge coefficient c when the window's n_i amounts are
+    all zero. The sweep then walks the edges once, outgoing ones forward
+    from the earliest window start and incoming ones backward from the
+    latest window end, keeping running sums. Edge j carries
+    (1-alpha)*gamma*(a_j*sum(w) + sum(c)), where gamma is beta out and
+    1-beta in, and is redirected once. A push costs
+    O(entries * log d + window) for d edges at the node, where spreading
+    entries one by one costs O(entries * window).
     """
     alpha, beta = params.alpha, params.beta
     snapshot = ledger.clear_node(node)
@@ -164,33 +184,59 @@ def local_push(node: str, graph: TransactionGraph, params: TraceParams,
     total = sum(snapshot.values())
     rank[node] = rank.get(node, 0.0) + alpha * total
 
-    for (ts, token), value in snapshot.items():
-        e_out = graph.edges_after(node, ts, token)
-        e_in = graph.edges_before(node, ts, token)
-        for direction, edge_set, gamma in (("out", e_out, beta),
-                                           ("in", e_in, 1.0 - beta)):
-            if gamma == 0.0:
-                continue
-            if not edge_set:
+    for direction, gamma in (("out", beta), ("in", 1.0 - beta)):
+        if gamma == 0.0:
+            continue
+        share = (1.0 - alpha) * gamma
+        out = direction == "out"
+        # token -> (its edges, (window's first edge in sweep order, w, c)
+        # per entry with a non-empty window)
+        sweeps: dict[str | None, tuple[Sequence[TransferEdge],
+                                       list[tuple[int, float, float]]]] = {}
+        for (ts, token), value in snapshot.items():
+            edges, k, amount_sum = graph.token_window(
+                node, token, direction, ts)
+            size = len(edges) - k if out else k
+            if not size:
                 # Funds never left (or never arrived): the share stays put.
-                ledger.add(node, ts, token, (1.0 - alpha) * gamma * value)
+                ledger.add(node, ts, token, share * value)
                 continue
-            amount_sum = sum(e.amount for e in edge_set)
-            for e in edge_set:
-                weight = (e.amount / amount_sum if amount_sum > 0.0
-                          else 1.0 / len(edge_set))
-                leg_mass = (1.0 - alpha) * gamma * weight * value
-                if leg_mass == 0.0:
-                    continue
-                routed = (redirect_set(e, graph, node, direction)
-                          if graph.counter_tokens(node, e) else [e])
-                if not routed:
-                    # Exchange with no continuation edge: mass is dropped
-                    # rather than self-returned; callers track the tally.
-                    dropped += leg_mass
-                    continue
-                delta = leg_mass / len(routed)
-                for e2 in routed:
-                    neighbor = e2.src if direction == "in" else e2.tgt
-                    ledger.add(neighbor, e2.timestamp, e2.token, delta)
+            sweep = sweeps.get(token)
+            if sweep is None:
+                sweep = sweeps[token] = (edges, [])
+            if amount_sum > 0.0:
+                sweep[1].append((k if out else k - 1, value / amount_sum, 0.0))
+            else:
+                sweep[1].append((k if out else k - 1, 0.0, value / size))
+        for edges, starts in sweeps.values():
+            swaps = graph.swap_legs(node)
+            # Segments of constant coefficients, each from one window's
+            # first edge to the next one's, and the last to the sweep's end.
+            starts.sort(reverse=not out)
+            starts.append((len(edges) if out else -1, 0.0, 0.0))
+            step = 1 if out else -1
+            w = c = 0.0
+            for (at, dw, dc), (stop, _, _) in pairwise(starts):
+                w += dw
+                c += dc
+                for j in range(at, stop, step):
+                    e = edges[j]
+                    leg_mass = share * (e.amount * w + c)
+                    if leg_mass == 0.0:
+                        continue
+                    if e not in swaps:
+                        ledger.add(e.tgt if out else e.src, e.timestamp,
+                                   e.token, leg_mass)
+                        continue
+                    routed = redirect_set(e, graph, node, direction)
+                    if not routed:
+                        # Exchange with no continuation edge: mass is
+                        # dropped rather than self-returned; callers
+                        # track the tally.
+                        dropped += leg_mass
+                        continue
+                    delta = leg_mass / len(routed)
+                    for e2 in routed:
+                        ledger.add(e2.tgt if out else e2.src, e2.timestamp,
+                                   e2.token, delta)
     return dropped

@@ -209,6 +209,46 @@ def _write_wide_edge_file(path, rows, accounts):
 MAX_BYTES_PER_EDGE = 1.1 * 308.5
 
 
+def skipped_warnings(caplog):
+    return [r.getMessage() for r in caplog.records
+            if r.name == "fundtrace" and r.levelno == logging.WARNING]
+
+
+def test_deeply_nested_json_line_is_skipped(tmp_path, caplog):
+    caplog.set_level(logging.WARNING, logger="fundtrace")
+    path = tmp_path / "deep.jsonl"
+    depth = 200_000
+    path.write_text(
+        '{"from": "a", "to": "b", "value": "1", "timeStamp": "5", '
+        '"hash": "h1"}\n' + '{"x": ' + "[" * depth + "]" * depth + "}\n")
+    g = load_graph(str(path))
+    assert g.num_edges == 1
+    assert skipped_warnings(caplog) == [
+        f"skipped record 2: JSON nested too deeply (in {path})"]
+
+
+def test_undecodable_bytes_skip_only_their_record(tmp_path, caplog):
+    caplog.set_level(logging.WARNING, logger="fundtrace")
+    csv_path = tmp_path / "latin1.csv"
+    csv_path.write_bytes(b"from,to,value,timeStamp,tokenSymbol,hash\n"
+                         b"a,b,1,5,T,h1\n"
+                         b"b,c,2,6,caf\xe9,h2\n"
+                         b"c,d,3,7,caf\xc3\xa9,h3\n")
+    jsonl_path = tmp_path / "latin1.jsonl"
+    jsonl_path.write_bytes(
+        b'{"from": "a", "to": "b", "value": "1", "timeStamp": "5", '
+        b'"hash": "h1"}\n'
+        b'{"from": "b\xff", "to": "c", "value": "2", "timeStamp": "6", '
+        b'"hash": "h2"}\n')
+    g = load_graph(str(csv_path))
+    assert [(e.hash, e.token) for e in g.edges] == [("h1", "T"),
+                                                     ("h3", "caf\u00e9")]
+    assert load_graph(str(jsonl_path)).num_edges == 1
+    assert skipped_warnings(caplog) == [
+        f"skipped record 2: text 'caf\\udce9' is not UTF-8 (in {csv_path})",
+        f"skipped record 2: text 'b\\udcff' is not UTF-8 (in {jsonl_path})"]
+
+
 def test_load_graph_memory_per_edge(tmp_path):
     path = tmp_path / "wide.csv"
     _write_wide_edge_file(path, rows=20_000, accounts=2_000)
@@ -238,8 +278,14 @@ def test_edges_after_strict_inequality():
         ("u", "b", 1.0, 3, "T", "h2"),
         ("u", "c", 1.0, 5, "T", "h3"),
     ])
-    assert [e.timestamp for e in g.edges_after("u", 3, "T")] == [5]
-    assert g.edges_after("u", 5, "T") == []
+    assert [e.timestamp for e in g.edges_after("u", 3)] == [5]
+    assert g.edges_after("u", 5) == []
+    edges, k, amount_sum = g.token_window("u", "T", "out", 3)
+    assert [e.timestamp for e in edges[k:]] == [5]
+    assert amount_sum == 1.0
+    edges, k, amount_sum = g.token_window("u", "T", "out", 5)
+    assert edges[k:] == []
+    assert amount_sum == 0.0
 
 
 def test_edges_after_sentinel_wildcard_returns_all():
@@ -249,8 +295,12 @@ def test_edges_after_sentinel_wildcard_returns_all():
         ("c", "u", 1.0, 2, "T1", "h3"),
         ("d", "u", 1.0, 4, "T2", "h4"),
     ])
-    assert len(g.edges_after("u", float("-inf"), None)) == 2
-    assert len(g.edges_before("u", float("inf"), None)) == 2
+    assert len(g.edges_after("u", float("-inf"))) == 2
+    assert len(g.edges_before("u", float("inf"))) == 2
+    edges, k, amount_sum = g.token_window("u", None, "out", float("-inf"))
+    assert (len(edges[k:]), amount_sum) == (2, 2.0)
+    edges, k, amount_sum = g.token_window("u", None, "in", float("inf"))
+    assert (len(edges[:k]), amount_sum) == (2, 2.0)
 
 
 def test_edges_before_strict_inequality():
@@ -258,13 +308,39 @@ def test_edges_before_strict_inequality():
         ("a", "u", 1.0, 1, "T", "h1"),
         ("b", "u", 1.0, 3, "T", "h2"),
     ])
-    assert [e.timestamp for e in g.edges_before("u", 3, "T")] == [1]
+    assert [e.timestamp for e in g.edges_before("u", 3)] == [1]
+    edges, k, amount_sum = g.token_window("u", "T", "in", 3)
+    assert [e.timestamp for e in edges[:k]] == [1]
+    assert amount_sum == 1.0
 
 
 def test_unknown_node_queries_empty():
     g = build_graph([("a", "b", 1.0, 1, "T", "h1")])
-    assert g.edges_after("zzz", 0, None) == []
-    assert g.edges_before("zzz", 10, None) == []
+    assert g.edges_after("zzz", 0) == []
+    assert g.edges_before("zzz", 10) == []
+    for direction in ("out", "in"):
+        edges, k, amount_sum = g.token_window("zzz", None, direction, 5)
+        assert (len(edges), k, amount_sum) == (0, 0, 0.0)
+
+
+def test_token_window_filters_token_and_sums_each_window():
+    g = build_graph([
+        ("u", "a", 2.0, 1, "T1", "h1"),
+        ("u", "b", 0.0, 2, "T1", "h2"),
+        ("u", "c", 7.0, 3, "T2", "h3"),
+        ("u", "d", 0.5, 4, "T1", "h4"),
+        ("x", "u", 4.0, 1, "T1", "h5"),
+        ("y", "u", 3.0, 5, "T1", "h6"),
+    ])
+    edges, k, amount_sum = g.token_window("u", "T1", "out", 1)
+    assert [e.hash for e in edges] == ["h1", "h2", "h4"]
+    assert ([e.hash for e in edges[k:]], amount_sum) == (["h2", "h4"], 0.5)
+    edges, k, amount_sum = g.token_window("u", "T1", "in", 5)
+    assert ([e.hash for e in edges[:k]], amount_sum) == (["h5"], 4.0)
+    # Every incoming edge carries T1: the list is the adjacency list.
+    assert edges is g.in_edges("u")
+    edges, k, amount_sum = g.token_window("u", "T2", "out", 3)
+    assert (len(edges), k, amount_sum) == (1, 1, 0.0)
 
 
 @given(seed=st.integers(0, 1000))
