@@ -62,6 +62,15 @@ def _make_provider(spec: str, chain_symbol: str, cache_dir: str | None):
     return FileProvider(spec, chain_symbol=chain_symbol)
 
 
+def _shared_options(command):
+    """The method parameters that trace and compare both take."""
+    for name, kind in reversed([("alpha", float), ("beta", float),
+                                ("epsilon", float), ("phi", float),
+                                ("depth", int), ("cutoff", float)]):
+        command = click.option(f"--{name}", type=kind, default=None)(command)
+    return command
+
+
 @click.group()
 def main():
     """Trace money flows through account-based blockchain transaction
@@ -73,12 +82,7 @@ def main():
 @click.option("--source", default=None)
 @click.option("--provider", default=None,
               help="Edge file path or Etherscan-compatible API base URL.")
-@click.option("--alpha", type=float, default=None)
-@click.option("--beta", type=float, default=None)
-@click.option("--epsilon", type=float, default=None)
-@click.option("--phi", type=float, default=None)
-@click.option("--depth", type=int, default=None)
-@click.option("--cutoff", type=float, default=None)
+@_shared_options
 @click.option("--budget", type=int, default=None,
               help="ttr: maximum number of pops (at least 1).")
 @click.option("--hub-cap", type=int, default=None,
@@ -149,12 +153,7 @@ def trace(source, provider, out, format, chain_symbol, cache_dir, **params):
 @click.option("--cases", "cases_path", required=True,
               help="Case spec JSON file or a directory of them.")
 @click.option("--out", "out_path", default="compare_report.json")
-@click.option("--alpha", type=float, default=None)
-@click.option("--beta", type=float, default=None)
-@click.option("--epsilon", type=float, default=None)
-@click.option("--phi", type=float, default=None)
-@click.option("--depth", type=int, default=None)
-@click.option("--cutoff", type=float, default=None)
+@_shared_options
 def compare(cases_path, out_path, **params):
     """Run all methods on each planted case and write a report table."""
     root = Path(cases_path)

@@ -86,25 +86,25 @@ class _EdgeCache:
         return [e for group in self._edges.values() for e in group]
 
 
-def run_expansion(source: str, provider: EdgeProvider, params: TraceParams,
-                  max_iterations: int | None = None, *,
-                  hub_cap: int | None = None,
+def run_expansion(source: str, provider: EdgeProvider, params: TraceParams, *,
                   on_iteration: Callable[[dict[str, float], ResidualLedger, float], None] | None = None,
                   ) -> TraceResult:
-    """Trace from ``source`` until convergence, ``max_iterations`` pops,
+    """Trace from ``source`` until convergence, ``params.budget`` pops,
     or a provider error. A provider error on the source's own fetch is
     raised, since nothing has been traced yet.
 
-    Raises RuntimeError if the pop count passes the 1/(eps*alpha) bound,
-    or if rank, residual and dropped mass do not sum to 1 when the loop
-    ends; a correct push does neither.
+    Raises ValueError for a parameter out of range. Raises RuntimeError
+    if the pop count passes the 1/(eps*alpha) bound, or if rank, residual
+    and dropped mass do not sum to 1 when the loop ends; a correct push
+    does neither.
     """
     params.validate()
     rank: dict[str, float] = {}
     ledger = ResidualLedger()
     ledger.add(source, SEED_TS, ANY_TOKEN, 1.0)
     dropped = 0.0
-    cache = _EdgeCache(provider, hub_cap)
+    budget = params.budget
+    cache = _EdgeCache(provider, params.hub_cap)
     pop_bound = math.ceil(1.0 / (params.epsilon * params.alpha))
     iterations = 0
     termination = TERM_CONVERGED
@@ -113,7 +113,7 @@ def run_expansion(source: str, provider: EdgeProvider, params: TraceParams,
         node = pop(ledger, params.epsilon)
         if node is None:
             break
-        if max_iterations is not None and iterations >= max_iterations:
+        if budget is not None and iterations >= budget:
             termination = TERM_BUDGET
             break
         try:

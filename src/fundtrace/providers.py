@@ -60,7 +60,7 @@ class HttpProvider:
 
     Queries module=account with action=txlist (native currency) and
     action=tokentx (token transfers). Responses are cached on disk keyed
-    by (account, action) so a rerun against the same cache is
+    by (base URL, account, action) so a rerun against the same cache is
     deterministic and offline.
     """
 
@@ -84,7 +84,8 @@ class HttpProvider:
     def _cache_path(self, account: str, action: str) -> Path | None:
         if not self.cache_dir:
             return None
-        digest = hashlib.sha256(f"{account}:{action}".encode()).hexdigest()[:24]
+        digest = hashlib.sha256(
+            f"{self.base_url}:{account}:{action}".encode()).hexdigest()[:24]
         return self.cache_dir / f"{action}_{digest}.json"
 
     @staticmethod
@@ -139,7 +140,10 @@ class HttpProvider:
             except (requests.RequestException, ValueError) as exc:
                 last_error = exc
                 continue
-            if not isinstance(payload, dict):
+            # A rate limit or a bad key comes back as message NOTOK: an
+            # error, never an empty account.
+            if (not isinstance(payload, dict)
+                    or payload.get("message") == "NOTOK"):
                 last_error = ProviderError(f"bad response: {payload}")
                 continue
             result = payload.get("result")

@@ -3,7 +3,7 @@ expansion/provider framework and report comparable results."""
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from . import baselines, community, metrics
 from .community import Community, extract_community
@@ -15,34 +15,24 @@ from .ttr import TraceParams
 METHODS = ("ttr", "appr", "bfs", "poison", "haircut")
 
 
-@dataclass
-class RunConfig:
+@dataclass(frozen=True)
+class RunConfig(TraceParams):
     method: str = "ttr"
-    alpha: float = 0.15
-    beta: float = 0.7
-    epsilon: float = 1e-3
-    phi: float = 1e-3
     depth: int = 2          # BFS / Poison hop limit
     cutoff: float = 0.001   # Haircut stop fraction
-    budget: int | None = None  # ttr: maximum number of pops
-    hub_cap: int | None = None
 
     def params(self) -> TraceParams:
-        return TraceParams(alpha=self.alpha, beta=self.beta,
-                           epsilon=self.epsilon, phi=self.phi)
+        return TraceParams(**{f.name: getattr(self, f.name)
+                              for f in fields(TraceParams)})
 
     def validate(self) -> None:
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        self.params().validate()
+        super().validate()
         if self.depth < 0:
             raise ValueError("depth must be >= 0")
         if not 0.0 < self.cutoff <= 1.0:
             raise ValueError("cutoff must be in (0,1]")
-        if self.budget is not None and self.budget < 1:
-            raise ValueError("budget must be >= 1")
-        if self.hub_cap is not None and self.hub_cap < 1:
-            raise ValueError("hub_cap must be >= 1")
 
 
 @dataclass
@@ -79,8 +69,7 @@ def run_method(source: str, provider: EdgeProvider, config: RunConfig
 
     trace = comm = None
     if config.method == "ttr":
-        trace = run_expansion(source, provider, params, config.budget,
-                              hub_cap=config.hub_cap)
+        trace = run_expansion(source, provider, params)
         comm = extract_community(trace.subgraph, trace.rank, source,
                                  params.phi)
         provenance.update({

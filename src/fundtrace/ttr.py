@@ -33,6 +33,8 @@ class TraceParams:
     beta: float = 0.7
     epsilon: float = 1e-3
     phi: float = 1e-3
+    budget: int | None = None   # maximum number of pops
+    hub_cap: int | None = None  # edges kept per fetched account
 
     def validate(self) -> None:
         if not 0.0 < self.alpha < 1.0:
@@ -43,6 +45,10 @@ class TraceParams:
             raise ValueError(f"epsilon must be in (0,1), got {self.epsilon}")
         if self.phi <= 0.0:
             raise ValueError(f"phi must be > 0, got {self.phi}")
+        if self.budget is not None and self.budget < 1:
+            raise ValueError("budget must be >= 1")
+        if self.hub_cap is not None and self.hub_cap < 1:
+            raise ValueError("hub_cap must be >= 1")
 
 
 class ResidualLedger:

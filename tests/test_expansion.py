@@ -139,9 +139,8 @@ def test_termination_residuals_below_epsilon():
 
 def test_budget_exhaustion_partial_result():
     g = random_txgraph(3, n_nodes=50, n_edges=200)
-    params = TraceParams(epsilon=1e-6)
-    result = run_expansion(sorted(g.nodes)[0], GraphProvider(g), params,
-                           max_iterations=3)
+    params = TraceParams(epsilon=1e-6, budget=3)
+    result = run_expansion(sorted(g.nodes)[0], GraphProvider(g), params)
     assert result.termination == TERM_BUDGET
     assert result.iterations == 3
 
@@ -195,8 +194,7 @@ def test_hub_cap_recorded():
     rows += [("hub", f"t{i}", 1.0, 2 + i, "T", f"h{i + 1}")
              for i in range(50)]
     g = build_graph(rows)
-    result = run_expansion("s", GraphProvider(g), TraceParams(),
-                           hub_cap=10)
+    result = run_expansion("s", GraphProvider(g), TraceParams(hub_cap=10))
     assert "hub" in result.hub_cap_hits
     # The cap keeps the first 10 incident edges in sort_key order, and the
     # funding edge, listed last by incident_edges, sorts first.

@@ -50,10 +50,11 @@ def ok(records):
     return FakeResponse({"status": "1", "result": records})
 
 
-def make_provider(script, tmp_path=None, **kw):
+def make_provider(script, tmp_path=None, base_url="https://api.example/api",
+                  **kw):
     session = FakeSession(script)
     kw.setdefault("pacing", 0.0)
-    provider = HttpProvider("https://api.example/api", session=session,
+    provider = HttpProvider(base_url, session=session,
                             cache_dir=str(tmp_path) if tmp_path else None,
                             api_key="k", **kw)
     provider.BACKOFF = 0.0
@@ -177,6 +178,40 @@ class TestHttpProvider:
                                                    "result": None})]}
         provider, _ = make_provider(script)
         assert provider.fetch_edges("a") == []
+
+    def test_rate_limit_is_retried_and_never_cached(self, tmp_path):
+        notok = FakeResponse({"status": "0", "message": "NOTOK",
+                              "result": "Max rate limit reached"})
+        script = {("a", "txlist"): [notok, notok,
+                                    ok([record("a", "b", 5, 10, h="0x1")])],
+                  ("a", "tokentx"): [ok([])]}
+        provider, session = make_provider(script, tmp_path / "ok")
+        assert [e.tgt for e in provider.fetch_edges("a")] == ["b"]
+        assert session.requests.count(("a", "txlist")) == 3
+        [txlist] = (tmp_path / "ok").glob("txlist_*.json")
+        assert len(json.loads(txlist.read_text())) == 1
+
+        provider, session = make_provider({("a", "txlist"): [notok] * 3},
+                                          tmp_path / "refused")
+        with pytest.raises(ProviderError, match="Max rate limit reached"):
+            provider.fetch_edges("a")
+        assert session.requests.count(("a", "txlist")) == HttpProvider.RETRIES
+        assert list((tmp_path / "refused").iterdir()) == []
+
+    def test_cache_is_kept_per_api(self, tmp_path):
+        script = {("a", "txlist"): [ok([record("a", "b", 5, 10, h="0x1")])],
+                  ("a", "tokentx"): [ok([])]}
+        first, _ = make_provider(script, tmp_path)
+        assert [e.tgt for e in first.fetch_edges("a")] == ["b"]
+        other, session = make_provider({}, tmp_path,
+                                       base_url="https://other.example/api")
+        assert other.fetch_edges("a") == []
+        assert session.requests == [("a", "txlist"), ("a", "tokentx")]
+        assert len(list(tmp_path.glob("txlist_*.json"))) == 2
+        # Each provider still reads its own files back.
+        again, session = make_provider({}, tmp_path)
+        assert [e.tgt for e in again.fetch_edges("a")] == ["b"]
+        assert session.requests == []
 
     def test_cache_round_trip_skips_network(self, tmp_path):
         script = {("a", "txlist"): [ok([record("a", "b", 5, 10, h="0x1")])],

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import (FIG_SWAP_ROWS, build_graph, random_txgraph,
                       seeded_trace, swap_bot_chain)
 from fundtrace.graph import Pattern
-from fundtrace.expansion import TERM_BUDGET, run_expansion
+from fundtrace.expansion import run_expansion
 from fundtrace.providers import GraphProvider
 from fundtrace.ttr import (ANY_TOKEN, SEED_TS, ResidualLedger, TraceParams,
                            local_push, redirect_set)
@@ -22,7 +22,9 @@ def total_mass(rank, ledger):
 def test_params_defaults_and_validation():
     p = TraceParams()
     assert (p.alpha, p.beta, p.epsilon, p.phi) == (0.15, 0.7, 1e-3, 1e-3)
+    assert (p.budget, p.hub_cap) == (None, None)
     p.validate()
+    TraceParams(budget=1, hub_cap=1).validate()
     with pytest.raises(ValueError):
         TraceParams(alpha=0.0).validate()
     with pytest.raises(ValueError):
@@ -31,29 +33,33 @@ def test_params_defaults_and_validation():
         TraceParams(epsilon=1.0).validate()
     with pytest.raises(ValueError):
         TraceParams(phi=0.0).validate()
-
-
-def start_trace(source):
-    """A trace stopped before its first pop: only the seed is in place."""
     provider = GraphProvider(build_graph([("a", "b", 1.0, 1, "T", "h1")]))
-    result = run_expansion(source, provider, TraceParams(), max_iterations=0)
-    assert result.termination == TERM_BUDGET
-    return result.rank, result.ledger
+    for field, value in (("budget", 0), ("budget", -1), ("budget", -3),
+                         ("hub_cap", 0), ("hub_cap", -1)):
+        params = TraceParams(**{field: value})
+        with pytest.raises(ValueError, match=f"^{field} must be >= 1$"):
+            params.validate()
+        # The library refuses what the CLI refuses, before any fetch.
+        with pytest.raises(ValueError, match=f"^{field} must be >= 1$"):
+            run_expansion("a", provider, params)
 
 
 def test_init_trace():
-    rank, ledger = start_trace("a")
+    rank, ledger = seeded_trace("a")
     assert rank == {}
     assert list(ledger.items()) == [("a", SEED_TS, ANY_TOKEN, 1.0)]
     assert abs(total_mass(rank, ledger) - 1.0) < 1e-12
     with pytest.raises(ValueError):
         run_expansion("a", GraphProvider(build_graph([])),
                       TraceParams(alpha=0.0))
+    with pytest.raises(ValueError, match="budget must be >= 1"):
+        run_expansion("a", GraphProvider(build_graph([])),
+                      TraceParams(budget=0))
 
 
 def test_init_traces_independent():
-    _, l1 = start_trace("a")
-    _, l2 = start_trace("b")
+    _, l1 = seeded_trace("a")
+    _, l2 = seeded_trace("b")
     assert l1.node_total("a") == 1.0
     assert l2.node_total("a") == 0.0
 
