@@ -8,6 +8,7 @@ reason about time on account graphs.
 from __future__ import annotations
 
 import heapq
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -44,37 +45,29 @@ def bfs_trace(graph: TransactionGraph, source: str, depth: int = 2
 
 def poison_trace(graph: TransactionGraph, source: str, depth: int = 2
                  ) -> TaintResult:
-    """Boolean taint: everything a dirty account later sends to is dirty.
-
-    An edge carries taint only if it is dated at or after the moment its
-    source first became dirty. Dijkstra on (hop, first-dirty-time).
-    """
+    """Boolean taint (poison): a hop-limited, time-guarded walk. Every
+    account within ``depth`` hops is dirty, each hop taking an edge dated
+    no earlier than the hop before. A hop walks on from an account only
+    if it reached it strictly earlier than every shorter walk did."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    # Label-correcting search over (node, hops, first-dirty-time) states;
-    # a state is pruned when a recorded one has both fewer hops and an
-    # earlier dirty time.
-    labels: dict[str, list[tuple[int, float]]] = {source: [(0, float("-inf"))]}
-    work: list[tuple[str, int, float]] = [(source, 0, float("-inf"))]
+    earliest = {source: float("-inf")}
+    frontier = dict(earliest)
     edges: list[TransferEdge] = []
-    while work:
-        u, hops, since = work.pop()
-        if hops >= depth:
-            continue
-        for e in graph.edges_after(u, since - 1):
-            cand = (hops + 1, float(e.timestamp))
-            edges.append(e)
-            known = labels.setdefault(e.tgt, [])
-            if any(h <= cand[0] and t <= cand[1] for h, t in known):
-                continue
-            known[:] = [(h, t) for h, t in known
-                        if not (cand[0] <= h and cand[1] <= t)]
-            known.append(cand)
-            work.append((e.tgt, cand[0], cand[1]))
-    # A node relaxed under several labels rescans its out-edges; keep
+    for _ in range(depth):
+        reached: dict[str, float] = {}
+        for u, since in frontier.items():
+            for e in graph.edges_after(u, since - 1):
+                edges.append(e)
+                if e.timestamp < reached.get(e.tgt, math.inf):
+                    reached[e.tgt] = e.timestamp
+        frontier = {v: t for v, t in reached.items()
+                    if t < earliest.get(v, math.inf)}
+        earliest.update(frontier)
+    # An account walked on at several hops rescans its out-edges; keep
     # each edge once (the graph puts them back in ``sort_key`` order).
     sub = TransactionGraph(dict.fromkeys(edges), (source,))
-    return TaintResult(sub, {u: 1.0 for u in labels})
+    return TaintResult(sub, dict.fromkeys(earliest, 1.0))
 
 
 def haircut_trace(graph: TransactionGraph, source: str,
@@ -98,8 +91,6 @@ def haircut_trace(graph: TransactionGraph, source: str,
     seq = 1
     while heap:
         since, _, u, value = heapq.heappop(heap)
-        if value < floor:
-            continue
         out = graph.edges_after(u, since)
         total = sum(e.amount for e in out)
         if total <= 0.0:

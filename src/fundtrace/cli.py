@@ -18,6 +18,7 @@ import click
 from . import expansion, metrics
 from .cases import CaseSpec, case_records, generate_planted_case
 from .export import write_graphml, write_json
+from .graph import normalize_account
 from .providers import FileProvider, GraphProvider, HttpProvider, ProviderError
 from .runner import METHODS, RunConfig, evaluate, run_method
 
@@ -99,10 +100,10 @@ def trace(source, provider, out, format, chain_symbol, cache_dir, **params):
     """Trace from --source and write the result graph plus provenance."""
     if not source or not provider:
         _fail(EXIT_CONFIG, "config-error", "--source and --provider are required")
-    source = source.lower()
 
     run_cfg = RunConfig(**{k: v for k, v in params.items() if v is not None})
     try:
+        source = normalize_account(source)
         run_cfg.validate()
     except ValueError as exc:
         _fail(EXIT_CONFIG, "config-error", str(exc))
@@ -162,6 +163,10 @@ def compare(cases_path, out_path, **params):
         _fail(EXIT_CONFIG, "config-error", f"no case specs under {cases_path}")
 
     base = RunConfig(**{k: v for k, v in params.items() if v is not None})
+    try:
+        base.validate()
+    except ValueError as exc:
+        _fail(EXIT_CONFIG, "config-error", str(exc))
     report = {"parameters": {k: getattr(base, k) for k in params},
               "cases": [], "errors": []}
     for path in spec_files:

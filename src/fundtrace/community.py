@@ -49,7 +49,7 @@ def extract_community(graph: TransactionGraph, rank: dict[str, float],
                       source: str, phi: float) -> Community:
     if source not in graph.nodes:
         raise ValueError(f"source {source!r} not in subgraph")
-    if phi <= 0.0:
+    if not phi > 0.0:
         raise ValueError("phi must be > 0")
 
     members: list[str] = [source]

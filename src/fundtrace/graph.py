@@ -285,9 +285,10 @@ def load_graph(path: str, *, chain_symbol: str = "ETH") -> TransactionGraph:
     """Ingest an edge file: JSON lines when its first character is ``{``,
     CSV with a header row otherwise. Records are parsed as
     ``parse_records`` does; identical records are kept, as the graph is a
-    multigraph. The file is UTF-8; a record whose account, token or hash
-    holds a byte that does not decode is skipped."""
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+    multigraph. The file is UTF-8, a leading byte order mark dropped; a
+    record whose account, token or hash holds an undecodable byte is
+    skipped."""
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
         head = fh.read(1)
         fh.seek(0)
         if head == "{":

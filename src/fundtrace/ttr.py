@@ -43,7 +43,7 @@ class TraceParams:
             raise ValueError(f"beta must be in [0,1], got {self.beta}")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"epsilon must be in (0,1), got {self.epsilon}")
-        if self.phi <= 0.0:
+        if not self.phi > 0.0:
             raise ValueError(f"phi must be > 0, got {self.phi}")
         if self.budget is not None and self.budget < 1:
             raise ValueError("budget must be >= 1")

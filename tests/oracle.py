@@ -89,6 +89,29 @@ def naive_push_once(edges, node, alpha, beta, rank, res):
     return dropped
 
 
+def naive_poison(edges, source, depth):
+    """Poison taint by brute walk over every (account, hops, arrival
+    time) state, with no pruning: an edge is taken when hops < depth and
+    its timestamp is at or after the arrival time. Returns the accounts
+    reached and the ids of the edges taken."""
+    start = (source, 0, NEG_INF)
+    seen = {start}
+    work = [start]
+    taken = set()
+    while work:
+        node, hops, since = work.pop()
+        if hops >= depth:
+            continue
+        for e in edges:
+            if e.src == node and e.timestamp >= since:
+                taken.add(id(e))
+                state = (e.tgt, hops + 1, e.timestamp)
+                if state not in seen:
+                    seen.add(state)
+                    work.append(state)
+    return {node for node, _, _ in seen}, taken
+
+
 def forward_mass_limit(edges, source, alpha, tiny=1e-15):
     """Exact limit rank for beta=1, single token, strictly increasing
     timestamps along every path (a forward-only weighted push).

@@ -6,7 +6,7 @@ import pytest
 from conftest import build_graph, random_txgraph
 from fundtrace.baselines import (appr_rank, bfs_trace, haircut_trace,
                                  poison_trace)
-from oracle import exact_ppr_dense
+from oracle import exact_ppr_dense, naive_poison
 
 
 def chain(*names, start_ts=1):
@@ -64,13 +64,31 @@ class TestPoison:
         assert len(res.subgraph.nodes) == 4
 
     def test_edges_not_repeated(self):
-        # A node relaxed under several (hops, time) labels rescans its
-        # out-edges; each edge must still appear once.
+        # An account walked on at several hops rescans its out-edges;
+        # each edge must still appear once.
         for seed in range(6):
             g = random_txgraph(seed, n_nodes=60, n_edges=300)
             res = poison_trace(g, sorted(g.nodes)[0], 3)
             ids = [id(e) for e in res.subgraph.edges]
             assert len(ids) == len(set(ids)), seed
+
+    def test_matches_naive_walk_on_random_graphs(self):
+        # Few timestamps, so ties are common; self-loops, zero amounts
+        # and repeated edges are all drawn.
+        for seed in range(300):
+            rng = random.Random(seed)
+            nodes = [f"a{i}" for i in range(rng.randint(1, 10))]
+            g = build_graph([(rng.choice(nodes), rng.choice(nodes),
+                              rng.choice([0.0, 1.0]), rng.randint(1, 6), "T",
+                              f"h{rng.randint(0, 9)}")
+                             for _ in range(rng.randint(0, 30))])
+            source = rng.choice(nodes)
+            depth = seed % 5
+            res = poison_trace(g, source, depth)
+            accounts, taken = naive_poison(g.edges, source, depth)
+            assert set(res.taint) == accounts, seed
+            assert {id(e) for e in res.subgraph.edges} == taken, seed
+            assert set(res.taint.values()) <= {1.0}
 
     def test_monotone_in_depth(self):
         for seed in range(10):

@@ -303,6 +303,22 @@ class TestTraceCommand:
                         "--alpha", "1.5"])
         assert res.exit_code == EXIT_CONFIG
 
+    def test_source_normalized_as_ingest_does(self, tmp_path):
+        edges = swap_rows_jsonl(tmp_path / "edges.jsonl")
+        blobs = []
+        for source in ("a", " A "):
+            out = tmp_path / "result.json"
+            res = self.run(["trace", "--source", source, "--provider", edges,
+                            "--phi", "0.5", "--out", str(out)])
+            assert res.exit_code == EXIT_OK
+            blobs.append(out.read_bytes()
+                         + (tmp_path / "result.json.provenance.json").read_bytes())
+        assert blobs[0] == blobs[1]
+        res = self.run(["trace", "--source", "  ", "--provider", edges])
+        assert res.exit_code == EXIT_CONFIG
+        assert json.loads(res.stderr.strip().splitlines()[-1]) == {
+            "error": "config-error", "message": "empty account id"}
+
     def test_missing_edge_file(self, tmp_path):
         res = self.run(["trace", "--source", "a", "--provider",
                         str(tmp_path / "nope.jsonl")])
@@ -476,6 +492,18 @@ class TestCompareAndGen:
         report = json.loads((tmp_path / "r.json").read_text())
         assert report["cases"] == []
         assert report["errors"] and report["errors"][0]["case"] == "bad.json"
+
+    def test_compare_refuses_out_of_range_parameters(self, tmp_path):
+        spec = tmp_path / "case.json"
+        assert self.run(["gen-case", "--seed", "1", "--layers", "3",
+                         "--out", str(spec)]).exit_code == EXIT_OK
+        report = tmp_path / "r.json"
+        res = self.run(["compare", "--cases", str(spec), "--out", str(report),
+                        "--alpha", "2"])
+        assert res.exit_code == EXIT_CONFIG
+        assert json.loads(res.stderr.strip().splitlines()[-1]) == {
+            "error": "config-error", "message": "alpha must be in (0,1), got 2.0"}
+        assert not report.exists()
 
     def test_compare_no_specs_errors(self, tmp_path):
         empty = tmp_path / "none"

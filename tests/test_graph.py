@@ -164,6 +164,23 @@ def test_csv_and_jsonl_ingestion_agree(tmp_path):
     assert [e.key() for e in g1.edges] == [e.key() for e in g2.edges]
 
 
+def test_byte_order_mark_is_not_data(tmp_path):
+    csv_text = ("from,to,value,timeStamp,tokenSymbol,hash\n"
+                "a,b,10,5,T1,h1\nb,c,4,7,T1,h2\n")
+    jsonl_text = (
+        '{"from":"a","to":"b","value":"10","timeStamp":"5","tokenSymbol":"T1","hash":"h1"}\n'
+        '{"from":"b","to":"c","value":"4","timeStamp":"7","tokenSymbol":"T1","hash":"h2"}\n')
+    for name, text in (("edges.csv", csv_text), ("edges.jsonl", jsonl_text)):
+        plain, marked = tmp_path / name, tmp_path / f"bom-{name}"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        g = load_graph(str(marked))
+        assert g.num_edges == 2, name
+        assert ([e.key() for e in g.edges]
+                == [e.key() for e in load_graph(str(plain)).edges])
+
+
 def test_missing_or_null_field_skips_record(tmp_path, caplog):
     caplog.set_level(logging.WARNING, logger="fundtrace")
     # A short CSV row reads as None; so does a JSON null.

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import (FIG_SWAP_ROWS, build_graph, random_txgraph,
                       seeded_trace, swap_bot_chain)
+from fundtrace.community import extract_community
 from fundtrace.graph import Pattern
 from fundtrace.expansion import run_expansion
 from fundtrace.providers import GraphProvider
@@ -31,9 +32,13 @@ def test_params_defaults_and_validation():
         TraceParams(beta=1.5).validate()
     with pytest.raises(ValueError):
         TraceParams(epsilon=1.0).validate()
-    with pytest.raises(ValueError):
-        TraceParams(phi=0.0).validate()
-    provider = GraphProvider(build_graph([("a", "b", 1.0, 1, "T", "h1")]))
+    g = build_graph([("a", "b", 1.0, 1, "T", "h1")])
+    for phi in (0.0, math.nan):
+        with pytest.raises(ValueError, match="^phi must be > 0"):
+            TraceParams(phi=phi).validate()
+        with pytest.raises(ValueError, match="^phi must be > 0"):
+            extract_community(g, {"a": 1.0}, "a", phi)
+    provider = GraphProvider(g)
     for field, value in (("budget", 0), ("budget", -1), ("budget", -3),
                          ("hub_cap", 0), ("hub_cap", -1)):
         params = TraceParams(**{field: value})
