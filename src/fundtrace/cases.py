@@ -9,6 +9,7 @@ that shallow or amount-blind methods pay for their bluntness.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import asdict, dataclass, field
 
@@ -41,6 +42,11 @@ class CaseSpec:
             raise ValueError("fan_out must be >= 1")
         if not 0.0 <= self.swap_hop_probability <= 1.0:
             raise ValueError("swap_hop_probability must be in [0,1]")
+        if not 0.0 <= self.noise_rate < math.inf:
+            raise ValueError("noise_rate must be finite and >= 0")
+        for name in ("peel_length", "hub_count", "hub_spokes"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)

@@ -17,7 +17,7 @@ import click
 
 from . import expansion, metrics
 from .cases import CaseSpec, case_records, generate_planted_case
-from .export import write_graphml, write_json
+from .export import write_trace
 from .graph import normalize_account
 from .providers import FileProvider, GraphProvider, HttpProvider, ProviderError
 from .runner import METHODS, RunConfig, evaluate, run_method
@@ -42,7 +42,7 @@ def _read_config(ctx: click.Context, _param, path: str | None) -> None:
         return
     try:
         loaded = json.loads(Path(path).read_text())
-    except (OSError, ValueError) as exc:
+    except ValueError as exc:
         _fail(EXIT_CONFIG, "config-error", str(exc))
     if not isinstance(loaded, dict):
         _fail(EXIT_CONFIG, "config-error", f"{path}: not a JSON object")
@@ -72,7 +72,18 @@ def _shared_options(command):
     return command
 
 
-@click.group()
+class _Commands(click.Group):
+    """Ends a command whose file cannot be read or written (a config,
+    edge, case or output file) as a configuration error naming it."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except OSError as exc:
+            _fail(EXIT_CONFIG, "config-error", str(exc))
+
+
+@click.group(cls=_Commands)
 def main():
     """Trace money flows through account-based blockchain transaction
     graphs."""
@@ -113,35 +124,15 @@ def trace(source, provider, out, format, chain_symbol, cache_dir, **params):
         result = run_method(source, edge_provider, run_cfg)
     except ProviderError as exc:
         _fail(EXIT_PROVIDER, "provider-error", str(exc))
-    except (OSError, ValueError) as exc:
+    except ValueError as exc:
         _fail(EXIT_CONFIG, "config-error", str(exc))
 
     if result.trace and result.trace.termination == expansion.TERM_PROVIDER_ERROR:
         _fail(EXIT_PROVIDER, "provider-error", "expansion aborted mid-trace")
 
-    provenance = dict(result.provenance)
-    provenance["config"] = {
+    write_trace(out, result, format, {**result.provenance, "config": {
         **dataclasses.asdict(run_cfg), "source": source, "provider": provider,
-        "chain_symbol": chain_symbol, "format": format,
-    }
-
-    graph = result.output_graph()
-    residuals = {}
-    if result.trace is not None:
-        for node, _ts, _tok, value in result.trace.ledger.items():
-            residuals[node] = residuals.get(node, 0.0) + value
-    community = (set(result.community.members)
-                 if result.community is not None else None)
-    if format == "graphml":
-        write_graphml(out, graph, rank=result.scores,
-                      residuals=residuals, source=source,
-                      community=community)
-    else:
-        write_json(out, graph, rank=result.scores, residuals=residuals,
-                   source=source, community=community,
-                   provenance=provenance)
-    Path(f"{out}.provenance.json").write_text(
-        json.dumps(provenance, sort_keys=True, indent=1) + "\n")
+        "chain_symbol": chain_symbol, "format": format}})
     # Timings are log output only: result files must be reproducible.
     click.echo(f"runtime_s={result.runtime_s:.3f} wrote {out}", err=True)
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 from .graph import TransactionGraph, TransferEdge
 from .providers import EdgeProvider, ProviderError
@@ -86,8 +85,7 @@ class _EdgeCache:
         return [e for group in self._edges.values() for e in group]
 
 
-def run_expansion(source: str, provider: EdgeProvider, params: TraceParams, *,
-                  on_iteration: Callable[[dict[str, float], ResidualLedger, float], None] | None = None,
+def run_expansion(source: str, provider: EdgeProvider, params: TraceParams
                   ) -> TraceResult:
     """Trace from ``source`` until convergence, ``params.budget`` pops,
     or a provider error. A provider error on the source's own fetch is
@@ -129,8 +127,6 @@ def run_expansion(source: str, provider: EdgeProvider, params: TraceParams, *,
         if iterations > pop_bound:
             raise RuntimeError(
                 f"pop count {iterations} exceeded 1/(eps*alpha) bound {pop_bound}")
-        if on_iteration is not None:
-            on_iteration(rank, ledger, dropped)
 
     mass = sum(rank.values()) + ledger.total() + dropped
     if abs(mass - 1.0) > MASS_TOLERANCE:

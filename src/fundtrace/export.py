@@ -7,9 +7,11 @@ edges plus node annotations.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 from xml.sax.saxutils import escape
 
 from .graph import TransactionGraph, TransferEdge
+from .runner import MethodResult
 
 _GRAPHML_HEAD = (
     "<?xml version='1.0' encoding='utf-8'?>\n"
@@ -109,6 +111,28 @@ def write_json(path: str, graph: TransactionGraph, **kwargs) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(graph_to_json(graph, **kwargs), fh, sort_keys=True, indent=1)
         fh.write("\n")
+
+
+def write_trace(path: str, result: MethodResult, format: str,
+                provenance: dict) -> None:
+    """Write ``result``'s graph (JSON carries ``provenance``, GraphML does
+    not) and ``provenance`` to ``<path>.provenance.json``. Residuals add
+    up in ledger order with ``+``: ``sum()`` compensates from Python 3.12."""
+    residuals: dict[str, float] = {}
+    if result.trace is not None:
+        for node, _ts, _tok, value in result.trace.ledger.items():
+            residuals[node] = residuals.get(node, 0.0) + value
+    community = (set(result.community.members)
+                 if result.community is not None else None)
+    annotations = dict(rank=result.scores, residuals=residuals,
+                       source=result.provenance["source"], community=community)
+    if format == "graphml":
+        write_graphml(path, result.output_graph(), **annotations)
+    else:
+        write_json(path, result.output_graph(), provenance=provenance,
+                   **annotations)
+    Path(f"{path}.provenance.json").write_text(
+        json.dumps(provenance, sort_keys=True, indent=1) + "\n")
 
 
 def graph_from_json(payload: dict) -> TransactionGraph:

@@ -1,6 +1,7 @@
 import json
 import logging
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -10,8 +11,10 @@ from conftest import (FIG_SWAP_ROWS, build_graph, random_txgraph,
                       tagged_edges)
 from fundtrace.cli import (EXIT_CONFIG, EXIT_NOT_CONVERGED, EXIT_OK, main)
 from fundtrace.export import (graph_from_json, graph_to_json, read_json,
-                              write_graphml, write_json)
+                              write_graphml, write_json, write_trace)
 from fundtrace.graph import Pattern, TransferEdge, load_graph
+from fundtrace.providers import GraphProvider
+from fundtrace.runner import RunConfig, run_method
 
 GRAPHML_NS = "{http://graphml.graphdrawing.org/xmlns}"
 
@@ -22,6 +25,14 @@ def swap_rows_jsonl(path):
              for s, t, a, ts, tok, h in FIG_SWAP_ROWS]
     path.write_text("\n".join(lines) + "\n")
     return str(path)
+
+
+def config_error_message(res):
+    """The message of a run that ended in ``config-error``, exit 2."""
+    assert res.exit_code == EXIT_CONFIG, res.output
+    err = json.loads(res.stderr.strip().splitlines()[-1])
+    assert err["error"] == "config-error"
+    return err["message"]
 
 
 class TestExport:
@@ -319,6 +330,13 @@ class TestTraceCommand:
         assert json.loads(res.stderr.strip().splitlines()[-1]) == {
             "error": "config-error", "message": "empty account id"}
 
+    def test_unwritable_out_is_a_config_error(self, tmp_path):
+        edges = swap_rows_jsonl(tmp_path / "edges.jsonl")
+        out = tmp_path / "missing" / "r.json"
+        res = self.run(["trace", "--source", "a", "--provider", edges,
+                        "--out", str(out)])
+        assert str(out) in config_error_message(res)
+
     def test_missing_edge_file(self, tmp_path):
         res = self.run(["trace", "--source", "a", "--provider",
                         str(tmp_path / "nope.jsonl")])
@@ -505,8 +523,89 @@ class TestCompareAndGen:
             "error": "config-error", "message": "alpha must be in (0,1), got 2.0"}
         assert not report.exists()
 
+    def test_compare_missing_cases_file_is_a_config_error(self, tmp_path):
+        cases = tmp_path / "nope.json"
+        res = self.run(["compare", "--cases", str(cases), "--out",
+                        str(tmp_path / "r.json")])
+        assert str(cases) in config_error_message(res)
+
+    def test_compare_unwritable_out_is_a_config_error(self, tmp_path):
+        spec = tmp_path / "case.json"
+        assert self.run(["gen-case", "--seed", "1", "--layers", "3",
+                         "--out", str(spec)]).exit_code == EXIT_OK
+        out = tmp_path / "missing" / "r.json"
+        res = self.run(["compare", "--cases", str(spec), "--out", str(out)])
+        assert str(out) in config_error_message(res)
+
+    def test_gen_case_unwritable_out_is_a_config_error(self, tmp_path):
+        out = tmp_path / "missing" / "c.json"
+        res = self.run(["gen-case", "--seed", "1", "--out", str(out)])
+        assert str(out) in config_error_message(res)
+
+    def test_gen_case_refuses_out_of_range_spec(self, tmp_path):
+        out = tmp_path / "c.json"
+        for args in (["--noise-rate", "inf"], ["--noise-rate", "-3"],
+                     ["--hubs", "-2"]):
+            res = self.run(["gen-case", *args, "--out", str(out)])
+            assert "must be" in config_error_message(res)
+            assert not out.exists()
+
+    def test_compare_records_a_non_finite_spec_and_goes_on(self, tmp_path):
+        cases = tmp_path / "cases"
+        cases.mkdir()
+        (cases / "a_inf.json").write_text('{"noise_rate": Infinity}')
+        assert self.run(["gen-case", "--seed", "1", "--layers", "3", "--out",
+                         str(cases / "b_ok.json")]).exit_code == EXIT_OK
+        res = self.run(["compare", "--cases", str(cases), "--out",
+                        str(tmp_path / "r.json")])
+        assert res.exit_code == EXIT_OK
+        report = json.loads((tmp_path / "r.json").read_text())
+        assert [row["case"] for row in report["cases"]] == ["b_ok.json"]
+        assert report["errors"] == [{
+            "case": "a_inf.json",
+            "error": "noise_rate must be finite and >= 0"}]
+
     def test_compare_no_specs_errors(self, tmp_path):
         empty = tmp_path / "none"
         empty.mkdir()
         res = self.run(["compare", "--cases", str(empty)])
         assert res.exit_code == EXIT_CONFIG
+
+
+def _inline_trace_writer(path, result, format, provenance):
+    """The output step that ``fundtrace trace`` and the benchmark's trace
+    op each wrote out in full before ``write_trace`` took it over."""
+    residuals = {}
+    if result.trace is not None:
+        for node, _ts, _tok, value in result.trace.ledger.items():
+            residuals[node] = residuals.get(node, 0.0) + value
+    community = (set(result.community.members)
+                 if result.community is not None else None)
+    source = result.provenance["source"]
+    graph = result.output_graph()
+    if format == "graphml":
+        write_graphml(path, graph, rank=result.scores, residuals=residuals,
+                      source=source, community=community)
+    else:
+        write_json(path, graph, rank=result.scores, residuals=residuals,
+                   source=source, community=community, provenance=provenance)
+    Path(f"{path}.provenance.json").write_text(
+        json.dumps(provenance, sort_keys=True, indent=1) + "\n")
+
+
+@pytest.mark.parametrize("method", ["ttr", "bfs"])
+@pytest.mark.parametrize("fmt", ["json", "graphml"])
+def test_write_trace_matches_the_inline_writer(tmp_path, method, fmt):
+    graph = random_txgraph(3, n_nodes=40, n_edges=200, swap_rate=0.2)
+    source = sorted(graph.nodes)[0]
+    result = run_method(source, GraphProvider(graph), RunConfig(method=method))
+    if method == "ttr":
+        # Residuals and a community that leaves nodes out are both written.
+        assert result.trace.ledger.total() > 0
+        assert len(result.community.members) < len(result.subgraph.nodes)
+    provenance = {**result.provenance, "config": {"format": fmt}}
+    write_trace(str(tmp_path / "got"), result, fmt, provenance)
+    _inline_trace_writer(str(tmp_path / "want"), result, fmt, provenance)
+    for suffix in ("", ".provenance.json"):
+        assert ((tmp_path / f"got{suffix}").read_bytes()
+                == (tmp_path / f"want{suffix}").read_bytes())

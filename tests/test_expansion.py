@@ -320,17 +320,23 @@ def test_pop_bound_enforced_under_optimize():
 
 MASS_CHECK_SCRIPT = """
 import sys
-from fundtrace.expansion import run_expansion
+from fundtrace import expansion
 from fundtrace.providers import GraphProvider
 from fundtrace.graph import TransactionGraph, TransferEdge
 from fundtrace.ttr import TraceParams
 if __debug__:
     sys.exit("asserts are on: run this under python -O")
+push = expansion.local_push
+
+def leaky_push(node, graph, params, rank, ledger, dropped):
+    dropped = push(node, graph, params, rank, ledger, dropped)
+    # Mass that no push made, below epsilon so that it is never popped.
+    ledger.add("elsewhere", 1, "T", 1e-6)
+    return dropped
+
+expansion.local_push = leaky_push
 graph = TransactionGraph([TransferEdge("s", "v", 1.0, 1, "T", "h1")])
-# Mass that no push made, below epsilon so that it is never popped.
-run_expansion("s", GraphProvider(graph), TraceParams(),
-              on_iteration=lambda rank, ledger, dropped:
-                  ledger.add("elsewhere", 1, "T", 1e-6))
+expansion.run_expansion("s", GraphProvider(graph), TraceParams())
 """
 
 

@@ -1,4 +1,5 @@
 import logging
+import math
 
 import pytest
 from hypothesis import given
@@ -141,6 +142,12 @@ class TestPlantedCases:
             generate_planted_case(CaseSpec(fan_out=0))
         with pytest.raises(ValueError):
             generate_planted_case(CaseSpec(swap_hop_probability=1.5))
+        for noise_rate in (math.inf, math.nan, -3.0):
+            with pytest.raises(ValueError, match="noise_rate"):
+                generate_planted_case(CaseSpec(noise_rate=noise_rate))
+        for name in ("hub_count", "hub_spokes", "peel_length"):
+            with pytest.raises(ValueError, match=name):
+                generate_planted_case(CaseSpec(**{name: -2}))
 
     def test_spec_json_round_trip(self):
         spec = CaseSpec(layers=6, seed=42, hub_spokes=150)
