@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import errno
 import json
+import os
 import statistics
 import sys
 from pathlib import Path
@@ -30,30 +32,31 @@ EXIT_NOT_CONVERGED = 4
 TOPN_POINTS = [1, 5, 10, 25, 50, 100, 200]
 
 
-def _fail(code: int, kind: str, message: str):
-    click.echo(json.dumps({"error": kind, "message": message}), err=True)
-    sys.exit(code)
-
-
 def _read_config(ctx: click.Context, _param, path: str | None) -> None:
     """Make a JSON config file the defaults of ``ctx``'s parameters, so
     click converts and checks its values exactly as it does flags."""
     if path is None:
         return
-    try:
-        loaded = json.loads(Path(path).read_text())
-    except ValueError as exc:
-        _fail(EXIT_CONFIG, "config-error", str(exc))
+    loaded = json.loads(Path(path).read_text())
     if not isinstance(loaded, dict):
-        _fail(EXIT_CONFIG, "config-error", f"{path}: not a JSON object")
+        raise ValueError(f"{path}: not a JSON object")
     unknown = sorted(set(loaded) - {p.name for p in ctx.command.params
                                     if p.expose_value})
     if unknown:
-        _fail(EXIT_CONFIG, "config-error", f"{path}: unknown key {unknown[0]!r}")
+        raise ValueError(f"{path}: unknown key {unknown[0]!r}")
     # Values go in as text, as flags do: click's int type would truncate
     # a JSON 2.5 to 2 and read true as 1.
     ctx.default_map = {k: None if v is None else str(v)
                        for k, v in loaded.items()}
+
+
+def _check_out(_ctx, _param, path: str | None) -> str | None:
+    """Refuse an output path whose directory does not exist, before the
+    command does any work. Neither creates the file nor needs write
+    permission on the directory."""
+    if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+    return path
 
 
 def _make_provider(spec: str, chain_symbol: str, cache_dir: str | None):
@@ -73,14 +76,21 @@ def _shared_options(command):
 
 
 class _Commands(click.Group):
-    """Ends a command whose file cannot be read or written (a config,
-    edge, case or output file) as a configuration error naming it."""
+    """The one place an error becomes an exit code. Commands raise; a
+    file that cannot be read or written (a config, edge, case or output
+    file) or a value out of range ends as ``config-error``, exit 2, and a
+    provider failure as ``provider-error``, exit 3, each printed as one
+    JSON line on stderr."""
 
     def invoke(self, ctx: click.Context):
         try:
             return super().invoke(ctx)
-        except OSError as exc:
-            _fail(EXIT_CONFIG, "config-error", str(exc))
+        except (OSError, ValueError) as exc:
+            code, kind, message = EXIT_CONFIG, "config-error", str(exc)
+        except ProviderError as exc:
+            code, kind, message = EXIT_PROVIDER, "provider-error", str(exc)
+        click.echo(json.dumps({"error": kind, "message": message}), err=True)
+        sys.exit(code)
 
 
 @click.group(cls=_Commands)
@@ -99,7 +109,7 @@ def main():
               help="ttr: maximum number of pops (at least 1).")
 @click.option("--hub-cap", type=int, default=None,
               help="ttr: edges kept per fetched account (at least 1).")
-@click.option("--out", default="trace_result.json")
+@click.option("--out", default="trace_result.json", callback=_check_out)
 @click.option("--format", type=click.Choice(["json", "graphml"]),
               default="json")
 @click.option("--chain-symbol", default="ETH")
@@ -110,25 +120,14 @@ def main():
 def trace(source, provider, out, format, chain_symbol, cache_dir, **params):
     """Trace from --source and write the result graph plus provenance."""
     if not source or not provider:
-        _fail(EXIT_CONFIG, "config-error", "--source and --provider are required")
-
+        raise ValueError("--source and --provider are required")
     run_cfg = RunConfig(**{k: v for k, v in params.items() if v is not None})
-    try:
-        source = normalize_account(source)
-        run_cfg.validate()
-    except ValueError as exc:
-        _fail(EXIT_CONFIG, "config-error", str(exc))
-
-    try:
-        edge_provider = _make_provider(provider, chain_symbol, cache_dir)
-        result = run_method(source, edge_provider, run_cfg)
-    except ProviderError as exc:
-        _fail(EXIT_PROVIDER, "provider-error", str(exc))
-    except ValueError as exc:
-        _fail(EXIT_CONFIG, "config-error", str(exc))
-
+    source = normalize_account(source)
+    run_cfg.validate()
+    edge_provider = _make_provider(provider, chain_symbol, cache_dir)
+    result = run_method(source, edge_provider, run_cfg)
     if result.trace and result.trace.termination == expansion.TERM_PROVIDER_ERROR:
-        _fail(EXIT_PROVIDER, "provider-error", "expansion aborted mid-trace")
+        raise ProviderError("expansion aborted mid-trace")
 
     write_trace(out, result, format, {**result.provenance, "config": {
         **dataclasses.asdict(run_cfg), "source": source, "provider": provider,
@@ -144,20 +143,18 @@ def trace(source, provider, out, format, chain_symbol, cache_dir, **params):
 @main.command()
 @click.option("--cases", "cases_path", required=True,
               help="Case spec JSON file or a directory of them.")
-@click.option("--out", "out_path", default="compare_report.json")
+@click.option("--out", "out_path", default="compare_report.json",
+              callback=_check_out)
 @_shared_options
 def compare(cases_path, out_path, **params):
     """Run all methods on each planted case and write a report table."""
     root = Path(cases_path)
     spec_files = sorted(root.glob("*.json")) if root.is_dir() else [root]
     if not spec_files:
-        _fail(EXIT_CONFIG, "config-error", f"no case specs under {cases_path}")
+        raise ValueError(f"no case specs under {cases_path}")
 
     base = RunConfig(**{k: v for k, v in params.items() if v is not None})
-    try:
-        base.validate()
-    except ValueError as exc:
-        _fail(EXIT_CONFIG, "config-error", str(exc))
+    base.validate()
     report = {"parameters": {k: getattr(base, k) for k in params},
               "cases": [], "errors": []}
     for path in spec_files:
@@ -205,16 +202,13 @@ def compare(cases_path, out_path, **params):
 @click.option("--swap-prob", "swap_hop_probability", type=float, default=None)
 @click.option("--noise-rate", type=float, default=None)
 @click.option("--hubs", "hub_count", type=int, default=None)
-@click.option("--out", "out_path", default="case.json")
-@click.option("--edges-out", default=None,
+@click.option("--out", "out_path", default="case.json", callback=_check_out)
+@click.option("--edges-out", default=None, callback=_check_out,
               help="Also write the generated edges as an ingestable CSV.")
 def gen_case(out_path, edges_out, **fields):
     """Generate a planted case spec (deterministic under --seed)."""
     spec = CaseSpec(**{k: v for k, v in fields.items() if v is not None})
-    try:
-        case = generate_planted_case(spec)
-    except ValueError as exc:
-        _fail(EXIT_CONFIG, "config-error", str(exc))
+    case = generate_planted_case(spec)
     Path(out_path).write_text(spec.to_json() + "\n")
     if edges_out:
         records = case_records(case)

@@ -100,7 +100,6 @@ def run_expansion(source: str, provider: EdgeProvider, params: TraceParams
     rank: dict[str, float] = {}
     ledger = ResidualLedger()
     ledger.add(source, SEED_TS, ANY_TOKEN, 1.0)
-    dropped = 0.0
     budget = params.budget
     cache = _EdgeCache(provider, params.hub_cap)
     pop_bound = math.ceil(1.0 / (params.epsilon * params.alpha))
@@ -122,13 +121,13 @@ def run_expansion(source: str, provider: EdgeProvider, params: TraceParams
             log.warning("expansion stopped at %s: %s", node, exc)
             termination = TERM_PROVIDER_ERROR
             break
-        dropped = local_push(node, graph, params, rank, ledger, dropped)
+        local_push(node, graph, params, rank, ledger)
         iterations += 1
         if iterations > pop_bound:
             raise RuntimeError(
                 f"pop count {iterations} exceeded 1/(eps*alpha) bound {pop_bound}")
 
-    mass = sum(rank.values()) + ledger.total() + dropped
+    mass = sum(rank.values()) + ledger.total() + ledger.dropped
     if abs(mass - 1.0) > MASS_TOLERANCE:
         raise RuntimeError(
             f"mass identity off by {mass - 1.0:.3e}: rank + residual + "
@@ -136,5 +135,5 @@ def run_expansion(source: str, provider: EdgeProvider, params: TraceParams
     subgraph = TransactionGraph(cache.merged_edges(), (source,))
     return TraceResult(subgraph=subgraph, rank=rank, ledger=ledger,
                        iterations=iterations, termination=termination,
-                       dropped_mass=dropped,
+                       dropped_mass=ledger.dropped,
                        hub_cap_hits=cache.hub_cap_hits)

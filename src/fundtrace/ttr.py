@@ -55,12 +55,14 @@ class ResidualLedger:
     """Sparse residual map (node, timestamp, token) -> mass.
 
     Zero-valued entries are evicted; a per-node total is cached for the
-    greedy pop and the termination check.
+    greedy pop and the termination check. ``dropped`` tallies the mass
+    pushes dropped (exchange legs with no continuation), leg by leg.
     """
 
     def __init__(self):
         self._entries: dict[str, dict[tuple, float]] = {}
         self._totals: dict[str, float] = {}
+        self.dropped = 0.0
 
     def add(self, node: str, ts: float, token: str | None, value: float) -> None:
         if value == 0.0:
@@ -159,15 +161,12 @@ def redirect_set(edge: TransferEdge, graph: TransactionGraph, node: str,
 
 
 def local_push(node: str, graph: TransactionGraph, params: TraceParams,
-               rank: dict[str, float], ledger: ResidualLedger,
-               dropped: float = 0.0) -> float:
+               rank: dict[str, float], ledger: ResidualLedger) -> None:
     """One greedy push step on ``node``; mutates rank and ledger in place.
 
     Mass accounting: rank gains alpha * residual(node); the remainder is
     forwarded, self-returned (empty edge set), or dropped (exchange leg
-    with no continuation). Returns ``dropped`` plus the mass dropped here,
-    added leg by leg, so a caller that passes its running tally back in
-    sums every dropped leg in one order.
+    with no continuation). Each dropped leg is added to ``ledger.dropped``.
 
     The push is linear in the residual, so each (token, direction) of the
     node's entries is one temporal sweep. Entry i, of mass v_i, bisects
@@ -186,7 +185,7 @@ def local_push(node: str, graph: TransactionGraph, params: TraceParams,
     alpha, beta = params.alpha, params.beta
     snapshot = ledger.clear_node(node)
     if not snapshot:
-        return dropped
+        return
     total = sum(snapshot.values())
     rank[node] = rank.get(node, 0.0) + alpha * total
 
@@ -237,12 +236,10 @@ def local_push(node: str, graph: TransactionGraph, params: TraceParams,
                     routed = redirect_set(e, graph, node, direction)
                     if not routed:
                         # Exchange with no continuation edge: mass is
-                        # dropped rather than self-returned; callers
-                        # track the tally.
-                        dropped += leg_mass
+                        # dropped rather than self-returned.
+                        ledger.dropped += leg_mass
                         continue
                     delta = leg_mass / len(routed)
                     for e2 in routed:
                         ledger.add(e2.tgt if out else e2.src, e2.timestamp,
                                    e2.token, delta)
-    return dropped

@@ -1,0 +1,238 @@
+"""Run a fixed matrix of CLI calls against this tree and another one,
+and print every difference.
+
+    python tests/golden/cli_diff.py OTHER_SRC
+
+OTHER_SRC is the ``src`` directory of another checkout, such as a
+``git archive`` of the parent commit. Each side runs the whole matrix
+twice, under PYTHONHASHSEED 0 and 7, each time in a fresh temporary
+directory with relative paths:
+
+- ``gen-case`` writes three planted cases with their edge CSVs;
+- ``trace`` runs every method in JSON and GraphML over those CSVs and
+  over one JSON-lines swap file, plus ``--hub-cap``, ``--budget`` and
+  ``--config`` runs;
+- ``compare`` runs over the cases, with and without flags, and over a
+  directory holding specs it must record as errors;
+- every error the CLI maps to an exit code is provoked once, including
+  a provider that fails after its first fetch.
+
+Only file providers are used, so no call reaches a network. The script
+compares every exit code, stderr line and file the calls leave, with
+``runtime_s`` values masked, prints each difference, and exits 1 if
+there is any.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+THIS_SRC = HERE.parents[1] / "src"
+sys.path[:0] = [str(HERE.parent), str(THIS_SRC)]
+
+from conftest import multihop_swap_rows  # noqa: E402
+
+SEEDS = ("0", "7")
+METHODS = ("ttr", "appr", "bfs", "poison", "haircut")
+RUNTIME = re.compile(r'(runtime_s"?[=:] ?)[0-9.eE+-]+')
+
+RUN = ("import sys\n"
+       "from fundtrace.cli import main\n"
+       "main(sys.argv[1:], prog_name='fundtrace')\n")
+# FileProvider answers the first fetch, then fails as an API would.
+FAIL_AFTER_FIRST_FETCH = """
+import sys
+from fundtrace import providers
+from fundtrace.cli import main
+fetch = providers.FileProvider.fetch_edges
+calls = []
+def flaky(self, account):
+    calls.append(account)
+    if len(calls) > 1:
+        raise providers.ProviderError("rate limited")
+    return fetch(self, account)
+providers.FileProvider.fetch_edges = flaky
+main(sys.argv[1:], prog_name="fundtrace")
+"""
+
+INPUTS = {"c1": ("c1.csv", "src"), "c2": ("c2.csv", "src"),
+          "c3": ("c3.csv", "src"), "swaps": ("swaps.jsonl", "n00")}
+
+
+def write_inputs(root: Path) -> None:
+    """The files the matrix reads that no call writes."""
+    for name in ("cases", "mixed", "empty", "out"):
+        (root / name).mkdir()
+    with open(root / "swaps.jsonl", "w", encoding="utf-8") as fh:
+        for s, t, a, ts, tok, h in multihop_swap_rows(5, 12, 60, 20):
+            fh.write(json.dumps({"from": s, "to": t, "value": repr(a),
+                                 "timeStamp": str(ts), "tokenSymbol": tok,
+                                 "hash": h}) + "\n")
+    (root / "mixed" / "bad.json").write_text('{"target_count": 0}')
+    (root / "mixed" / "inf.json").write_text('{"noise_rate": Infinity}')
+    for stem, (edges, source) in INPUTS.items():
+        (root / f"cfg-{stem}.json").write_text(json.dumps({
+            "source": source, "provider": edges, "phi": 0.5, "depth": 3,
+            "out": f"out/{stem}-config.json"}))
+    (root / "cfg-bad-json.json").write_text("{source: a}")
+    (root / "cfg-latin1.json").write_bytes(b'{"source": "\xff"}')
+    (root / "cfg-list.json").write_text("[1, 2]")
+    (root / "cfg-unknown.json").write_text('{"alpah": 0.5}')
+    (root / "cfg-format.json").write_text(
+        '{"source": "n00", "provider": "swaps.jsonl", "format": "xml"}')
+
+
+def matrix() -> list[tuple[str, list[str], str]]:
+    """(label, arguments, runner) per call, in the order they run."""
+    calls = [
+        ("gen-c1", ["gen-case", "--seed", "1", "--layers", "3",
+                    "--out", "cases/c1.json", "--edges-out", "c1.csv"]),
+        ("gen-c2", ["gen-case", "--seed", "2", "--layers", "4", "--hubs",
+                    "2", "--swap-prob", "0.6", "--out", "cases/c2.json",
+                    "--edges-out", "c2.csv"]),
+        ("gen-c3", ["gen-case", "--seed", "3", "--fan-out", "2",
+                    "--targets", "2", "--noise-rate", "0.5",
+                    "--out", "cases/c3.json", "--edges-out", "c3.csv"]),
+        ("gen-mixed", ["gen-case", "--seed", "4", "--layers", "3",
+                       "--out", "mixed/ok.json"]),
+    ]
+    for stem, (edges, source) in INPUTS.items():
+        base = ["trace", "--source", source, "--provider", edges]
+        for method in METHODS:
+            for fmt in ("json", "graphml"):
+                calls.append((f"trace-{stem}-{method}-{fmt}", base + [
+                    "--method", method, "--format", fmt,
+                    "--out", f"out/{stem}-{method}.{fmt}"]))
+        calls += [
+            (f"trace-{stem}-hub-cap", base + [
+                "--hub-cap", "3", "--out", f"out/{stem}-hub-cap.json"]),
+            (f"trace-{stem}-budget", base + [
+                "--budget", "20", "--out", f"out/{stem}-budget.json"]),
+            (f"trace-{stem}-config", ["trace", "--config", f"cfg-{stem}.json",
+                                      "--method", "haircut"]),
+        ]
+    swaps = ["trace", "--source", "n00", "--provider", "swaps.jsonl"]
+    calls += [
+        ("compare", ["compare", "--cases", "cases", "--out", "report.json"]),
+        ("compare-flags", ["compare", "--cases", "cases/c1.json", "--alpha",
+                           "0.2", "--phi", "0.5", "--out", "report-flags.json"]),
+        ("compare-recorded-errors", ["compare", "--cases", "mixed",
+                                     "--out", "report-mixed.json"]),
+        ("err-trace-no-source", ["trace"]),
+        ("err-trace-missing-provider", ["trace", "--source", "n00",
+                                        "--provider", "nope.csv"]),
+        ("err-trace-blank-source", ["trace", "--source", " ",
+                                    "--provider", "swaps.jsonl"]),
+        ("err-trace-alpha", swaps + ["--alpha", "2", "--out", "out/x.json"]),
+        ("err-trace-phi-nan", swaps + ["--phi", "nan", "--out", "out/x.json"]),
+        ("err-trace-budget", swaps + ["--budget", "0", "--out", "out/x.json"]),
+        ("err-trace-hub-cap", swaps + ["--hub-cap", "-1",
+                                       "--out", "out/x.json"]),
+        ("err-trace-method", swaps + ["--method", "nope"]),
+        ("err-trace-out-dir", swaps + ["--out", "nodir/r.json"]),
+        ("err-trace-out-dir-and-provider", [
+            "trace", "--source", "n00", "--provider", "nope.csv",
+            "--out", "nodir/r.json"]),
+        ("err-config-missing", ["trace", "--config", "nope.json"]),
+        ("err-config-bad-json", ["trace", "--config", "cfg-bad-json.json"]),
+        ("err-config-not-utf8", ["trace", "--config", "cfg-latin1.json"]),
+        ("err-config-not-object", ["trace", "--config", "cfg-list.json"]),
+        ("err-config-unknown-key", ["trace", "--config", "cfg-unknown.json"]),
+        ("err-config-bad-value", ["trace", "--config", "cfg-format.json"]),
+        ("err-compare-no-specs", ["compare", "--cases", "empty"]),
+        ("err-compare-missing-cases", ["compare", "--cases", "nope.json"]),
+        ("err-compare-alpha", ["compare", "--cases", "cases", "--alpha", "2",
+                               "--out", "report-alpha.json"]),
+        ("err-compare-out-dir", ["compare", "--cases", "cases",
+                                 "--out", "nodir/r.json"]),
+        ("err-gen-out-dir", ["gen-case", "--out", "nodir/c.json"]),
+        ("err-gen-edges-out-dir", ["gen-case", "--out", "partial.json",
+                                   "--edges-out", "nodir/e.csv"]),
+        ("err-gen-noise-inf", ["gen-case", "--noise-rate", "inf",
+                               "--out", "inf.json"]),
+        ("err-gen-hubs", ["gen-case", "--hubs", "-2", "--out", "hubs.json"]),
+    ]
+    calls = [(label, args, RUN) for label, args in calls]
+    calls.append(("err-provider-mid-trace", swaps + [
+        "--out", "out/mid-trace.json"], FAIL_AFTER_FIRST_FETCH))
+    return calls
+
+
+def run_side(src: Path, seed: str) -> dict[tuple[str, str], str]:
+    """Every observation of one run of the matrix, keyed by kind and
+    name: each call's exit code and stderr, and each file left behind."""
+    seen: dict[tuple[str, str], str] = {}
+    env = {"PATH": os.environ.get("PATH", ""), "PYTHONPATH": str(src),
+           "PYTHONHASHSEED": seed}
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        write_inputs(root)
+        before = {p for p in root.rglob("*")}
+        for label, args, runner in matrix():
+            proc = subprocess.run([sys.executable, "-c", runner, *args],
+                                  cwd=root, env=env, capture_output=True,
+                                  text=True, timeout=300)
+            seen[("exit", label)] = str(proc.returncode)
+            seen[("stderr", label)] = RUNTIME.sub(r"\1*", proc.stderr)
+        for path in sorted(set(root.rglob("*")) - before):
+            if path.is_file():
+                text = path.read_text(encoding="utf-8", errors="replace")
+                seen[("file", str(path.relative_to(root)))] = RUNTIME.sub(
+                    r"\1*", text)
+    return seen
+
+
+def first_difference(want: str | None, got: str) -> str:
+    if want is None:
+        return "present"
+    want_lines, got_lines = want.splitlines(), got.splitlines()
+    for n, (a, b) in enumerate(zip(want_lines, got_lines), 1):
+        if a != b:
+            return f"line {n}: {b[:120]!r}"
+    return f"{len(got_lines)} lines, not {len(want_lines)}"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("other_src", type=Path,
+                        help="the src directory of the tree to compare with")
+    args = parser.parse_args(argv)
+    runs = {f"{side}@{seed}": run_side(src, seed)
+            for side, src in (("this", THIS_SRC),
+                              ("other", args.other_src.resolve()))
+            for seed in SEEDS}
+    reference = runs["this@0"]
+    keys = sorted(set().union(*runs.values()))
+    differences = 0
+    for kind, name in keys:
+        values = {run: seen.get((kind, name)) for run, seen in runs.items()}
+        if len(set(values.values())) == 1:
+            continue
+        differences += 1
+        print(f"{kind} {name}:")
+        for run, value in values.items():
+            if value is None:
+                shown = "absent"
+            elif kind != "file":
+                shown = repr(value.strip())
+            elif value == reference.get((kind, name)):
+                shown = "same as this@0"
+            else:
+                shown = first_difference(reference.get((kind, name)), value)
+            print(f"  {run}: {shown}")
+    calls = len(matrix())
+    files = sum(kind == "file" for kind, _ in keys)
+    print(f"{calls} calls and {files} files per run, runs "
+          f"{', '.join(runs)}: {differences} differ")
+    return 1 if differences else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

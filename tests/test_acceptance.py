@@ -33,12 +33,11 @@ def test_criterion_01_mass_conservation(monkeypatch):
     push = expansion.local_push
     drift, pushes = [0.0], [0]
 
-    def checked_push(node, graph, params, rank, ledger, dropped):
-        dropped = push(node, graph, params, rank, ledger, dropped)
-        total = sum(rank.values()) + ledger.total() + dropped
+    def checked_push(node, graph, params, rank, ledger):
+        push(node, graph, params, rank, ledger)
+        total = sum(rank.values()) + ledger.total() + ledger.dropped
         drift[0] = max(drift[0], abs(total - 1.0))
         pushes[0] += 1
-        return dropped
 
     # run_expansion looks local_push up in its module at every pop.
     monkeypatch.setattr(expansion, "local_push", checked_push)

@@ -9,7 +9,8 @@ from click.testing import CliRunner
 
 from conftest import (FIG_SWAP_ROWS, build_graph, random_txgraph,
                       tagged_edges)
-from fundtrace.cli import (EXIT_CONFIG, EXIT_NOT_CONVERGED, EXIT_OK, main)
+from fundtrace.cli import (EXIT_CONFIG, EXIT_NOT_CONVERGED, EXIT_OK,
+                           EXIT_PROVIDER, main)
 from fundtrace.export import (graph_from_json, graph_to_json, read_json,
                               write_graphml, write_json, write_trace)
 from fundtrace.graph import Pattern, TransferEdge, load_graph
@@ -330,12 +331,62 @@ class TestTraceCommand:
         assert json.loads(res.stderr.strip().splitlines()[-1]) == {
             "error": "config-error", "message": "empty account id"}
 
-    def test_unwritable_out_is_a_config_error(self, tmp_path):
+    def test_unwritable_out_is_a_config_error(self, tmp_path, monkeypatch):
+        import fundtrace.cli as cli_mod
+
+        calls = []
+        monkeypatch.setattr(cli_mod, "_make_provider",
+                            lambda *args: calls.append("provider"))
+        monkeypatch.setattr(cli_mod, "run_method",
+                            lambda *args: calls.append("run"))
         edges = swap_rows_jsonl(tmp_path / "edges.jsonl")
         out = tmp_path / "missing" / "r.json"
+        for provider in (edges, str(tmp_path / "nope.csv")):
+            res = self.run(["trace", "--source", "a", "--provider", provider,
+                            "--out", str(out)])
+            assert config_error_message(res) == (
+                f"[Errno 2] No such file or directory: '{out}'")
+        assert calls == []
+
+    def test_config_file_unreadable_is_a_config_error(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        res = self.run(["trace", "--config", str(cfg)])
+        assert config_error_message(res) == (
+            f"[Errno 2] No such file or directory: '{cfg}'")
+        cfg.write_text("{source: a}")
+        res = self.run(["trace", "--config", str(cfg)])
+        assert config_error_message(res) == (
+            "Expecting property name enclosed in double quotes: "
+            "line 1 column 2 (char 1)")
+        cfg.write_bytes(b'{"source": "\xff"}')
+        res = self.run(["trace", "--config", str(cfg)])
+        assert config_error_message(res) == (
+            "'utf-8' codec can't decode byte 0xff in position 12: "
+            "invalid start byte")
+
+    def test_provider_failing_mid_trace_exits_3(self, tmp_path, monkeypatch):
+        import fundtrace.cli as cli_mod
+        from fundtrace.providers import FileProvider, ProviderError
+
+        class FailsAfterFirstFetch(FileProvider):
+            fetches = 0
+
+            def fetch_edges(self, account):
+                self.fetches += 1
+                if self.fetches > 1:
+                    raise ProviderError("rate limited")
+                return super().fetch_edges(account)
+
+        monkeypatch.setattr(cli_mod, "FileProvider", FailsAfterFirstFetch)
+        edges = swap_rows_jsonl(tmp_path / "edges.jsonl")
+        out = tmp_path / "r.json"
         res = self.run(["trace", "--source", "a", "--provider", edges,
                         "--out", str(out)])
-        assert str(out) in config_error_message(res)
+        assert res.exit_code == EXIT_PROVIDER
+        assert json.loads(res.stderr.strip().splitlines()[-1]) == {
+            "error": "provider-error", "message": "expansion aborted mid-trace"}
+        assert not out.exists()
+        assert not (tmp_path / "r.json.provenance.json").exists()
 
     def test_missing_edge_file(self, tmp_path):
         res = self.run(["trace", "--source", "a", "--provider",
@@ -529,18 +580,32 @@ class TestCompareAndGen:
                         str(tmp_path / "r.json")])
         assert str(cases) in config_error_message(res)
 
-    def test_compare_unwritable_out_is_a_config_error(self, tmp_path):
+    def test_compare_unwritable_out_is_a_config_error(self, tmp_path,
+                                                      monkeypatch):
+        import fundtrace.cli as cli_mod
+
         spec = tmp_path / "case.json"
         assert self.run(["gen-case", "--seed", "1", "--layers", "3",
                          "--out", str(spec)]).exit_code == EXIT_OK
+        generated = []
+        monkeypatch.setattr(cli_mod, "generate_planted_case",
+                            lambda spec: generated.append(spec))
         out = tmp_path / "missing" / "r.json"
         res = self.run(["compare", "--cases", str(spec), "--out", str(out)])
         assert str(out) in config_error_message(res)
+        assert generated == []
 
     def test_gen_case_unwritable_out_is_a_config_error(self, tmp_path):
         out = tmp_path / "missing" / "c.json"
         res = self.run(["gen-case", "--seed", "1", "--out", str(out)])
         assert str(out) in config_error_message(res)
+        ok = tmp_path / "ok.json"
+        edges = tmp_path / "missing" / "e.csv"
+        res = self.run(["gen-case", "--seed", "1", "--out", str(ok),
+                        "--edges-out", str(edges)])
+        assert config_error_message(res) == (
+            f"[Errno 2] No such file or directory: '{edges}'")
+        assert not ok.exists()
 
     def test_gen_case_refuses_out_of_range_spec(self, tmp_path):
         out = tmp_path / "c.json"

@@ -223,10 +223,9 @@ def full_graph_push(graph, source, params):
     pushing account's own edges, so a trace that fetches one account at a
     time must match it bit for bit."""
     rank, ledger = seeded_trace(source)
-    dropped = 0.0
     while (node := pop(ledger, params.epsilon)) is not None:
-        dropped = local_push(node, graph, params, rank, ledger, dropped)
-    return rank, dropped
+        local_push(node, graph, params, rank, ledger)
+    return rank, ledger.dropped
 
 
 def test_expansion_equals_full_graph_push():
@@ -298,7 +297,7 @@ from fundtrace.ttr import TraceParams
 if __debug__:
     sys.exit("asserts are on: run this under python -O")
 # A push that never drains the residual pops the source forever.
-expansion.local_push = lambda *args, **kwargs: 0.0
+expansion.local_push = lambda *args, **kwargs: None
 expansion.run_expansion("s", GraphProvider(TransactionGraph([])),
                         TraceParams(epsilon=0.1))
 """
@@ -328,11 +327,10 @@ if __debug__:
     sys.exit("asserts are on: run this under python -O")
 push = expansion.local_push
 
-def leaky_push(node, graph, params, rank, ledger, dropped):
-    dropped = push(node, graph, params, rank, ledger, dropped)
+def leaky_push(node, graph, params, rank, ledger):
+    push(node, graph, params, rank, ledger)
     # Mass that no push made, below epsilon so that it is never popped.
     ledger.add("elsewhere", 1, "T", 1e-6)
-    return dropped
 
 expansion.local_push = leaky_push
 graph = TransactionGraph([TransferEdge("s", "v", 1.0, 1, "T", "h1")])

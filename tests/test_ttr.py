@@ -180,9 +180,9 @@ def test_redirect_dead_end_swap_drops_mass():
     rank = {}
     ledger = ResidualLedger()
     ledger.add("u", 10, "USDC", 1.0)
-    dropped = local_push("u", g, params, rank, ledger)
-    assert dropped == pytest.approx(0.85 * 0.7)
-    assert total_mass(rank, ledger) + dropped == pytest.approx(1.0)
+    local_push("u", g, params, rank, ledger)
+    assert ledger.dropped == pytest.approx(0.85 * 0.7)
+    assert total_mass(rank, ledger) + ledger.dropped == pytest.approx(1.0)
 
 
 def test_redirect_terminates_on_swap_cycle():
@@ -243,14 +243,13 @@ def test_push_invariants_random_graphs(seed, steps):
     params = TraceParams(alpha=0.15, beta=0.7, epsilon=1e-6)
     source = sorted(g.nodes)[0]
     rank, ledger = seeded_trace(source)
-    dropped = 0.0
     prev_rank: dict = {}
     prev_total = 1.0
     for _ in range(steps):
         best = ledger.max_node()
         if best is None or best[1] < params.epsilon:
             break
-        dropped = local_push(best[0], g, params, rank, ledger, dropped)
+        local_push(best[0], g, params, rank, ledger)
         # non-negativity
         assert all(v >= 0.0 for v in rank.values())
         assert all(v >= 0.0 for _, _, _, v in ledger.items())
@@ -262,7 +261,7 @@ def test_push_invariants_random_graphs(seed, steps):
         total = total_mass(rank, ledger)
         assert total <= prev_total + 1e-9
         prev_total = total
-        assert total + dropped == pytest.approx(1.0, abs=1e-9)
+        assert total + ledger.dropped == pytest.approx(1.0, abs=1e-9)
 
 
 def test_push_matches_naive_on_random_graphs():
@@ -322,9 +321,9 @@ def test_sweep_matches_naive_with_many_entries_per_token(beta):
     for ts, token, value in SWEEP_ENTRIES:
         ledger.add("u", ts, token, value)
         o_res[("u", ts, token)] = value
-    dropped = o_dropped = 0.0
+    o_dropped = 0.0
     for node in ("u", "x", "u", "a", "h", "u"):
-        dropped = local_push(node, g, params, rank, ledger, dropped)
+        local_push(node, g, params, rank, ledger)
         o_dropped += naive_push_once(g.edges, node, params.alpha, params.beta,
                                      o_rank, o_res)
         got = {(n, t, b): v for n, t, b, v in ledger.items()}
@@ -333,8 +332,9 @@ def test_sweep_matches_naive_with_many_entries_per_token(beta):
         assert got == pytest.approx(want, rel=0, abs=1e-12)
         want_rank = {n: v for n, v in o_rank.items() if v}
         assert rank == pytest.approx(want_rank, rel=0, abs=1e-12)
-        assert dropped == pytest.approx(o_dropped, rel=0, abs=1e-12)
-    assert total_mass(rank, ledger) + dropped == pytest.approx(1.0, abs=1e-12)
+        assert ledger.dropped == pytest.approx(o_dropped, rel=0, abs=1e-12)
+    assert total_mass(rank, ledger) + ledger.dropped == pytest.approx(
+        1.0, abs=1e-12)
 
 
 class CountingLedger(ResidualLedger):
@@ -362,13 +362,13 @@ def test_interleaved_hub_push_is_linear():
     ledger.add("src", SEED_TS, ANY_TOKEN, 1.0)
     ledger.adds = 0
     start = time.perf_counter()
-    dropped = local_push("src", g, params, rank, ledger)
+    local_push("src", g, params, rank, ledger)
     assert len(ledger.node_entries("hub")) == d
-    dropped = local_push("hub", g, params, rank, ledger, dropped)
+    local_push("hub", g, params, rank, ledger)
     elapsed = time.perf_counter() - start
     assert ledger.adds <= 4 * d
     assert elapsed < 1.0
-    assert dropped == 0.0
+    assert ledger.dropped == 0.0
     assert total_mass(rank, ledger) == pytest.approx(1.0, abs=1e-9)
 
 
