@@ -136,8 +136,6 @@ def appr_rank(graph: TransactionGraph, source: str, alpha: float = 0.15,
         u = queue.popleft()
         queued.discard(u)
         res = residual[u]
-        if res < epsilon:
-            continue
         rank[u] = rank.get(u, 0.0) + alpha * res
         residual[u] = 0.0
         out = targets.get(u)

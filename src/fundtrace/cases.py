@@ -34,12 +34,13 @@ class CaseSpec:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.layers < 1 and self.target_count > 0:
-            raise ValueError("cannot plant targets with zero layers")
         if self.target_count < 1:
             raise ValueError("target_count must be >= 1")
-        if self.fan_out < 1:
-            raise ValueError("fan_out must be >= 1")
+        if self.layers < 1:
+            raise ValueError("layers must be >= 1")
+        # Branch b ends at target b mod target_count.
+        if self.fan_out < self.target_count:
+            raise ValueError("fan_out must be >= target_count")
         if not 0.0 <= self.swap_hop_probability <= 1.0:
             raise ValueError("swap_hop_probability must be in [0,1]")
         if not 0.0 <= self.noise_rate < math.inf:
@@ -169,11 +170,7 @@ def generate_planted_case(spec: CaseSpec) -> PlantedCase:
                                       rng.randint(900_000, clock[0]), token,
                                       new_hash()))
 
-    graph = TransactionGraph(edges)
-    for tgt in targets:
-        if tgt not in graph.nodes:
-            raise ValueError(f"unsatisfiable spec: target {tgt} not planted")
-    return PlantedCase(spec=spec, graph=graph, source=source,
+    return PlantedCase(spec=spec, graph=TransactionGraph(edges), source=source,
                        targets=targets, swap_nodes=swap_nodes)
 
 

@@ -51,11 +51,19 @@ def _read_config(ctx: click.Context, _param, path: str | None) -> None:
 
 
 def _check_out(_ctx, _param, path: str | None) -> str | None:
-    """Refuse an output path whose directory does not exist, before the
-    command does any work. Neither creates the file nor needs write
-    permission on the directory."""
-    if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
-        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+    """Refuse, before the command does any work, an output path that
+    ``open(path, "w")`` would refuse for where it is, with its error: an
+    existing directory, or a parent that is missing or not a directory.
+    Neither creates the file nor needs write permission on the directory."""
+    if path is None:
+        return None
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    try:
+        # The trailing separator makes a regular file fail as ENOTDIR.
+        os.stat(os.path.join(os.path.dirname(path) or ".", ""))
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
     return path
 
 
@@ -160,7 +168,7 @@ def compare(cases_path, out_path, **params):
     for path in spec_files:
         try:
             case = generate_planted_case(CaseSpec.from_json(path.read_text()))
-        except (ValueError, TypeError, json.JSONDecodeError) as exc:
+        except (ValueError, TypeError) as exc:
             report["errors"].append({"case": path.name, "error": str(exc)})
             continue
         row = {"case": path.name, "spec": json.loads(case.spec.to_json()),

@@ -68,11 +68,11 @@ class _EdgeCache:
         graph = self._graphs.get(account)
         if graph is not None:
             return graph
-        graph = TransactionGraph(self.provider.fetch_edges(account))
-        if self.hub_cap is not None and graph.num_edges > self.hub_cap:
-            graph = TransactionGraph(graph.edges[: self.hub_cap])
+        edges = self.provider.fetch_edges(account)
+        if self.hub_cap is not None and len(edges) > self.hub_cap:
+            edges = sorted(edges, key=TransferEdge.sort_key)[: self.hub_cap]
             self.hub_cap_hits.append(account)
-        self._graphs[account] = graph
+        graph = self._graphs[account] = TransactionGraph(edges)
         copies: dict[tuple, list[TransferEdge]] = {}
         for e in graph.edges:
             copies.setdefault(e.key(), []).append(e)

@@ -122,10 +122,9 @@ def write_trace(path: str, result: MethodResult, format: str,
     if result.trace is not None:
         for node, _ts, _tok, value in result.trace.ledger.items():
             residuals[node] = residuals.get(node, 0.0) + value
-    community = (set(result.community.members)
-                 if result.community is not None else None)
     annotations = dict(rank=result.scores, residuals=residuals,
-                       source=result.provenance["source"], community=community)
+                       source=result.provenance["source"],
+                       community=result.output_nodes)
     if format == "graphml":
         write_graphml(path, result.output_graph(), **annotations)
     else:

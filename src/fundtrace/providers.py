@@ -31,20 +31,8 @@ class EdgeProvider(Protocol):
     def fetch_edges(self, account: str) -> list[TransferEdge]: ...
 
 
-class FileProvider:
-    """Whole-graph ingest; fetch_edges is an index lookup."""
-
-    def __init__(self, path: str, *, chain_symbol: str = "ETH"):
-        self.graph = load_graph(path, chain_symbol=chain_symbol)
-        self.calls = 0
-
-    def fetch_edges(self, account: str) -> list[TransferEdge]:
-        self.calls += 1
-        return self.graph.incident_edges(account)
-
-
 class GraphProvider:
-    """In-memory variant of the file provider, for library use and tests."""
+    """An in-memory graph; fetch_edges is an index lookup."""
 
     def __init__(self, graph):
         self.graph = graph
@@ -53,6 +41,16 @@ class GraphProvider:
     def fetch_edges(self, account: str) -> list[TransferEdge]:
         self.calls += 1
         return self.graph.incident_edges(account)
+
+
+class FileProvider(GraphProvider):
+    """The graph of a fully ingested edge file."""
+
+    def __init__(self, path: str, *, chain_symbol: str = "ETH"):
+        super().__init__(load_graph(path, chain_symbol=chain_symbol))
+
+    # bench/tracing.py wraps vars(cls)["fetch_edges"], or raises LookupError.
+    fetch_edges = GraphProvider.fetch_edges
 
 
 class HttpProvider:

@@ -109,11 +109,7 @@ def run_method(source: str, provider: EdgeProvider, config: RunConfig
 
 def evaluate(result: MethodResult, source: str, targets: set[str]) -> dict:
     out_nodes = result.output_nodes
-    graph = result.output_graph()
-    if source in graph.nodes:
-        depth, _ = metrics.tracing_depth(graph, source)
-    else:
-        depth = 0
+    depth, _ = metrics.tracing_depth(result.output_graph(), source)
     return {
         "method": result.method,
         "recall": metrics.recall(out_nodes, targets),

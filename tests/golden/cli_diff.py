@@ -12,10 +12,13 @@ directory with relative paths:
 - ``trace`` runs every method in JSON and GraphML over those CSVs and
   over one JSON-lines swap file, plus ``--hub-cap``, ``--budget`` and
   ``--config`` runs;
-- ``compare`` runs over the cases, with and without flags, and over a
-  directory holding specs it must record as errors;
+- ``compare`` runs over the cases, with and without flags, over a
+  directory holding specs it must record as errors, and over a spec with
+  more targets than branches;
 - every error the CLI maps to an exit code is provoked once, including
-  a provider that fails after its first fetch.
+  a provider that fails after its first fetch, and each command's output
+  path is refused when it is an existing directory, lies below a regular
+  file or below a missing directory.
 
 Only file providers are used, so no call reaches a network. The script
 compares every exit code, stderr line and file the calls leave, with
@@ -76,6 +79,8 @@ def write_inputs(root: Path) -> None:
                                  "timeStamp": str(ts), "tokenSymbol": tok,
                                  "hash": h}) + "\n")
     (root / "mixed" / "bad.json").write_text('{"target_count": 0}')
+    (root / "five.json").write_text('{"target_count": 5, "fan_out": 3}')
+    (root / "afile").write_text("")
     (root / "mixed" / "inf.json").write_text('{"noise_rate": Infinity}')
     for stem, (edges, source) in INPUTS.items():
         (root / f"cfg-{stem}.json").write_text(json.dumps({
@@ -125,6 +130,8 @@ def matrix() -> list[tuple[str, list[str], str]]:
                            "0.2", "--phi", "0.5", "--out", "report-flags.json"]),
         ("compare-recorded-errors", ["compare", "--cases", "mixed",
                                      "--out", "report-mixed.json"]),
+        ("compare-more-targets-than-branches", [
+            "compare", "--cases", "five.json", "--out", "report-five.json"]),
         ("err-trace-no-source", ["trace"]),
         ("err-trace-missing-provider", ["trace", "--source", "n00",
                                         "--provider", "nope.csv"]),
@@ -157,8 +164,24 @@ def matrix() -> list[tuple[str, list[str], str]]:
                                    "--edges-out", "nodir/e.csv"]),
         ("err-gen-noise-inf", ["gen-case", "--noise-rate", "inf",
                                "--out", "inf.json"]),
+        ("err-gen-more-targets-than-branches", [
+            "gen-case", "--targets", "5", "--fan-out", "3",
+            "--out", "five-gen.json", "--edges-out", "five-gen.csv"]),
         ("err-gen-hubs", ["gen-case", "--hubs", "-2", "--out", "hubs.json"]),
     ]
+    # Output paths that open() refuses: an existing directory, a path one
+    # and two levels below a regular file.
+    for where, out in (("is-dir", "out"), ("under-file", "afile/r.json"),
+                       ("two-under-file", "afile/x/r.json")):
+        calls += [
+            (f"err-trace-out-{where}", swaps + ["--out", out]),
+            (f"err-compare-out-{where}", ["compare", "--cases",
+                                          "cases/c1.json", "--out", out]),
+            (f"err-gen-out-{where}", ["gen-case", "--out", out]),
+            (f"err-gen-edges-out-{where}", [
+                "gen-case", "--out", f"partial-{where}.json",
+                "--edges-out", out]),
+        ]
     calls = [(label, args, RUN) for label, args in calls]
     calls.append(("err-provider-mid-trace", swaps + [
         "--out", "out/mid-trace.json"], FAIL_AFTER_FIRST_FETCH))

@@ -42,6 +42,10 @@ class TestPoison:
         res = poison_trace(g, "s", 2)
         assert set(res.taint) == {"s", "a", "b"}
 
+    def test_negative_depth_rejected(self):
+        with pytest.raises(ValueError, match="depth must be >= 0"):
+            poison_trace(chain("s", "a"), "s", depth=-1)
+
     def test_temporal_guard(self):
         g = build_graph([
             ("s", "a", 1.0, 10, "T", "h1"),
@@ -155,6 +159,28 @@ class TestHaircut:
         g = build_graph([("s", "a", 10.0, 1, "T", "h1")])
         res = haircut_trace(g, "s")
         assert res.taint["a"] == pytest.approx(10.0)
+
+    def test_source_without_out_edges_holds_nothing(self):
+        g = build_graph([("a", "s", 10.0, 1, "T", "h1")])
+        res = haircut_trace(g, "s")
+        assert res.taint == {"s": 0.0}
+        assert res.subgraph.nodes == {"s"}
+        assert res.subgraph.edges == []
+
+    def test_zero_amount_edge_carries_no_taint(self):
+        g = build_graph([("s", "a", 10.0, 1, "T", "h1"),
+                         ("a", "b", 0.0, 2, "T", "h2"),
+                         ("a", "c", 5.0, 3, "T", "h3")])
+        res = haircut_trace(g, "s")
+        assert "b" not in res.taint
+        assert res.taint["c"] == pytest.approx(10.0)
+        assert [e.hash for e in res.subgraph.edges] == ["h1", "h3"]
+
+    def test_cutoff_outside_unit_interval_rejected(self):
+        g = chain("a", "b")
+        for cutoff in (0.0, -0.5, 1.5):
+            with pytest.raises(ValueError, match="cutoff_fraction"):
+                haircut_trace(g, "a", cutoff_fraction=cutoff)
 
 
 class TestAppr:

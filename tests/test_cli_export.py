@@ -28,6 +28,20 @@ def swap_rows_jsonl(path):
     return str(path)
 
 
+def unwritable_outs(tmp_path):
+    """(output path, the error ``open(path, "w")`` raises for it): an
+    existing directory, a path under a regular file and one under a
+    missing directory."""
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "afile").write_text("")
+    return [(str(tmp_path / "adir"), "[Errno 21] Is a directory"),
+            (str(tmp_path / "afile" / "r.json"), "[Errno 20] Not a directory"),
+            (str(tmp_path / "afile" / "x" / "r.json"),
+             "[Errno 20] Not a directory"),
+            (str(tmp_path / "missing" / "r.json"),
+             "[Errno 2] No such file or directory")]
+
+
 def config_error_message(res):
     """The message of a run that ended in ``config-error``, exit 2."""
     assert res.exit_code == EXIT_CONFIG, res.output
@@ -104,7 +118,8 @@ class TestExport:
         [("a<&\"'", "b>", 1.5, 3, "T<&\"'", "h<&\"'"),
          ("b>", "a<&\"'", 2.0, 4, "T", "h2"),
          ("a<&\"'", "b>", 0.5, 5, "T", "h3")],
-    ], ids=["fig-swap", "edgeless", "markup-names"])
+        [("a", "b", 1.0, 2, "T", "")],
+    ], ids=["fig-swap", "edgeless", "markup-names", "empty-hash"])
     def test_graphml_bytes_match_networkx(self, tmp_path, rows):
         g = build_graph(rows)
         g.nodes.add("lonely")
@@ -340,12 +355,11 @@ class TestTraceCommand:
         monkeypatch.setattr(cli_mod, "run_method",
                             lambda *args: calls.append("run"))
         edges = swap_rows_jsonl(tmp_path / "edges.jsonl")
-        out = tmp_path / "missing" / "r.json"
-        for provider in (edges, str(tmp_path / "nope.csv")):
-            res = self.run(["trace", "--source", "a", "--provider", provider,
-                            "--out", str(out)])
-            assert config_error_message(res) == (
-                f"[Errno 2] No such file or directory: '{out}'")
+        for out, error in unwritable_outs(tmp_path):
+            for provider in (edges, str(tmp_path / "nope.csv")):
+                res = self.run(["trace", "--source", "a", "--provider",
+                                provider, "--out", out])
+                assert config_error_message(res) == f"{error}: '{out}'"
         assert calls == []
 
     def test_config_file_unreadable_is_a_config_error(self, tmp_path):
@@ -590,22 +604,57 @@ class TestCompareAndGen:
         generated = []
         monkeypatch.setattr(cli_mod, "generate_planted_case",
                             lambda spec: generated.append(spec))
-        out = tmp_path / "missing" / "r.json"
-        res = self.run(["compare", "--cases", str(spec), "--out", str(out)])
-        assert str(out) in config_error_message(res)
+        for out, error in unwritable_outs(tmp_path):
+            res = self.run(["compare", "--cases", str(spec), "--out", out])
+            assert config_error_message(res) == f"{error}: '{out}'"
         assert generated == []
 
     def test_gen_case_unwritable_out_is_a_config_error(self, tmp_path):
-        out = tmp_path / "missing" / "c.json"
-        res = self.run(["gen-case", "--seed", "1", "--out", str(out)])
-        assert str(out) in config_error_message(res)
         ok = tmp_path / "ok.json"
-        edges = tmp_path / "missing" / "e.csv"
-        res = self.run(["gen-case", "--seed", "1", "--out", str(ok),
-                        "--edges-out", str(edges)])
-        assert config_error_message(res) == (
-            f"[Errno 2] No such file or directory: '{edges}'")
-        assert not ok.exists()
+        for out, error in unwritable_outs(tmp_path):
+            res = self.run(["gen-case", "--seed", "1", "--out", out])
+            assert config_error_message(res) == f"{error}: '{out}'"
+            res = self.run(["gen-case", "--seed", "1", "--out", str(ok),
+                            "--edges-out", out])
+            assert config_error_message(res) == f"{error}: '{out}'"
+            assert not ok.exists()
+
+    def test_unplantable_targets_refused_alike_in_every_process(self,
+                                                                tmp_path):
+        import os
+        import subprocess
+        import sys
+
+        import fundtrace
+        env = {**os.environ,
+               "PYTHONPATH": str(Path(fundtrace.__file__).resolve().parents[1])}
+
+        def cli(*args, hash_seed="0"):
+            return subprocess.run(
+                [sys.executable, "-m", "fundtrace.cli", *args],
+                env={**env, "PYTHONHASHSEED": hash_seed}, cwd=tmp_path,
+                capture_output=True, text=True, timeout=120)
+
+        (tmp_path / "five.json").write_text(
+            '{"target_count": 5, "fan_out": 3}')
+        reports = []
+        for hash_seed in ("0", "2"):
+            proc = cli("compare", "--cases", "five.json", "--out",
+                       f"r{hash_seed}.json", hash_seed=hash_seed)
+            assert proc.returncode == EXIT_OK, proc.stderr
+            reports.append((tmp_path / f"r{hash_seed}.json").read_bytes())
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])["errors"] == [{
+            "case": "five.json", "error": "fan_out must be >= target_count"}]
+
+        proc = cli("gen-case", "--targets", "5", "--fan-out", "3", "--out",
+                   "c.json", "--edges-out", "e.csv")
+        assert proc.returncode == EXIT_CONFIG
+        assert json.loads(proc.stderr) == {
+            "error": "config-error",
+            "message": "fan_out must be >= target_count"}
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "five.json", "r0.json", "r2.json"]
 
     def test_gen_case_refuses_out_of_range_spec(self, tmp_path):
         out = tmp_path / "c.json"
@@ -629,6 +678,30 @@ class TestCompareAndGen:
         assert report["errors"] == [{
             "case": "a_inf.json",
             "error": "noise_rate must be finite and >= 0"}]
+
+    def test_compare_records_a_failing_method_and_goes_on(self, tmp_path,
+                                                          monkeypatch):
+        import fundtrace.cli as cli_mod
+
+        def run_method_failing_poison(source, provider, config):
+            if config.method == "poison":
+                raise RuntimeError("poison failed")
+            return run_method(source, provider, config)
+
+        monkeypatch.setattr(cli_mod, "run_method", run_method_failing_poison)
+        spec = tmp_path / "case.json"
+        assert self.run(["gen-case", "--seed", "1", "--layers", "3",
+                         "--out", str(spec)]).exit_code == EXIT_OK
+        res = self.run(["compare", "--cases", str(spec), "--out",
+                        str(tmp_path / "r.json")])
+        assert res.exit_code == EXIT_OK
+        report = json.loads((tmp_path / "r.json").read_text())
+        assert report["errors"] == [{"case": "case.json", "method": "poison",
+                                     "error": "poison failed"}]
+        [row] = report["cases"]
+        assert [m["method"] for m in row["methods"]] == [
+            "ttr", "appr", "bfs", "haircut"]
+        assert set(report["aggregate"]) == {"ttr", "appr", "bfs", "haircut"}
 
     def test_compare_no_specs_errors(self, tmp_path):
         empty = tmp_path / "none"
@@ -656,6 +729,20 @@ def _inline_trace_writer(path, result, format, provenance):
                    source=source, community=community, provenance=provenance)
     Path(f"{path}.provenance.json").write_text(
         json.dumps(provenance, sort_keys=True, indent=1) + "\n")
+
+
+def test_run_config_refuses_out_of_range_values():
+    # The CLI's --method choice hides the first; the library checks it.
+    for field, value, message in (
+            ("method", "nope", "unknown method 'nope'"),
+            ("depth", -1, "depth must be >= 0"),
+            ("cutoff", 0.0, r"cutoff must be in \(0,1\]"),
+            ("cutoff", 1.5, r"cutoff must be in \(0,1\]")):
+        config = RunConfig(**{field: value})
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            config.validate()
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_method("a", GraphProvider(build_graph([])), config)
 
 
 @pytest.mark.parametrize("method", ["ttr", "bfs"])

@@ -71,6 +71,13 @@ def test_source_absent_errors():
         extract_community(g, rank, "nope", phi=0.5)
 
 
+def test_source_of_zero_rank_errors():
+    g, _ = two_node_fixture()
+    for rank in ({"v": 0.3}, {"s": 0.0, "v": 0.3}):
+        with pytest.raises(ValueError, match="^source has zero rank$"):
+            extract_community(g, rank, "s", phi=0.5)
+
+
 def test_sweep_order_non_increasing_rank():
     g = random_txgraph(11, n_nodes=30, n_edges=120)
     source = sorted(g.nodes)[0]

@@ -1,4 +1,5 @@
 import gc
+import json
 import logging
 import random
 import tracemalloc
@@ -242,6 +243,24 @@ def test_deeply_nested_json_line_is_skipped(tmp_path, caplog):
     assert g.num_edges == 1
     assert skipped_warnings(caplog) == [
         f"skipped record 2: JSON nested too deeply (in {path})"]
+
+
+def test_non_object_and_blank_field_records_are_skipped(tmp_path, caplog):
+    caplog.set_level(logging.WARNING, logger="fundtrace")
+    good = {"from": "a", "to": "b", "value": "1", "timeStamp": "5",
+            "hash": "h1"}
+    path = tmp_path / "mixed.jsonl"
+    path.write_text("\n".join(json.dumps(rec) for rec in (
+        good, [1, 2], {**good, "hash": " \t"},
+        {**good, "tokenSymbol": "  "})) + "\n")
+    assert [e.hash for e in load_graph(str(path)).edges] == ["h1"]
+    # An API response row that is not an object.
+    assert [e.hash for e in parse_records([5, good], "ETH", "api")] == ["h1"]
+    assert skipped_warnings(caplog) == [
+        f"skipped record 2: not a JSON object (in {path})",
+        f"skipped record 3: missing token symbol or hash (in {path})",
+        f"skipped record 4: missing token symbol or hash (in {path})",
+        "skipped record 1: not a JSON object (in api)"]
 
 
 def test_undecodable_bytes_skip_only_their_record(tmp_path, caplog):

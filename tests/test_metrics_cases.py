@@ -140,6 +140,16 @@ class TestPlantedCases:
             generate_planted_case(CaseSpec(target_count=0))
         with pytest.raises(ValueError):
             generate_planted_case(CaseSpec(fan_out=0))
+        with pytest.raises(ValueError, match="^layers must be >= 1$"):
+            generate_planted_case(CaseSpec(layers=0))
+        # Branch b ends at target b mod target_count: fewer branches than
+        # targets would leave targets unplanted.
+        with pytest.raises(ValueError,
+                           match="^fan_out must be >= target_count$"):
+            generate_planted_case(CaseSpec(target_count=5, fan_out=3))
+        # target_count is checked first.
+        with pytest.raises(ValueError, match="^target_count must be >= 1$"):
+            generate_planted_case(CaseSpec(target_count=0, layers=0))
         with pytest.raises(ValueError):
             generate_planted_case(CaseSpec(swap_hop_probability=1.5))
         for noise_rate in (math.inf, math.nan, -3.0):

@@ -179,6 +179,28 @@ class TestHttpProvider:
         provider, _ = make_provider(script)
         assert provider.fetch_edges("a") == []
 
+    def test_status_one_without_a_list_is_retried_then_raises(self):
+        odd = FakeResponse({"status": "1", "message": "OK", "result": "x"})
+        provider, session = make_provider({("a", "txlist"): [odd]})
+        with pytest.raises(ProviderError, match="bad response"):
+            provider.fetch_edges("a")
+        assert session.requests.count(("a", "txlist")) == HttpProvider.RETRIES
+
+    def test_pacing_spaces_requests(self, monkeypatch):
+        clock, sleeps = [100.0], []
+
+        def sleep(seconds):
+            sleeps.append(seconds)
+            clock[0] += seconds
+
+        monkeypatch.setattr("fundtrace.providers.time.monotonic",
+                            lambda: clock[0])
+        monkeypatch.setattr("fundtrace.providers.time.sleep", sleep)
+        provider, session = make_provider({}, pacing=0.25)
+        assert provider.fetch_edges("a") == []
+        assert session.requests == [("a", "txlist"), ("a", "tokentx")]
+        assert sleeps == [0.25]
+
     def test_rate_limit_is_retried_and_never_cached(self, tmp_path):
         notok = FakeResponse({"status": "0", "message": "NOTOK",
                               "result": "Max rate limit reached"})
@@ -270,6 +292,15 @@ class TestHttpProvider:
         assert err["error"] == "provider-error"
         assert str(txlist) in err["message"]
         assert sessions[0].requests == []
+
+    def test_cache_file_not_a_list_is_a_provider_error(self, tmp_path):
+        provider, session = make_provider({}, tmp_path)
+        cache = provider._cache_path("a", "txlist")
+        cache.write_text("{}")
+        with pytest.raises(ProviderError) as err:
+            provider.fetch_edges("a")
+        assert str(err.value) == f"cache file {cache} does not hold a JSON list"
+        assert session.requests == []
 
     def test_api_key_from_environment(self, monkeypatch):
         monkeypatch.setenv(API_KEY_ENV, "secret")
