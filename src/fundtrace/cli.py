@@ -17,19 +17,18 @@ from pathlib import Path
 
 import click
 
-from . import expansion, metrics
+from . import expansion
 from .cases import CaseSpec, case_records, generate_planted_case
 from .export import write_trace
 from .graph import normalize_account
-from .providers import FileProvider, GraphProvider, HttpProvider, ProviderError
-from .runner import METHODS, RunConfig, evaluate, run_method
+from .providers import FileProvider, HttpProvider, ProviderError
+# The benchmark's compare workload imports TOPN_POINTS from here.
+from .runner import METHODS, TOPN_POINTS, RunConfig, compare_case, run_method
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_PROVIDER = 3
 EXIT_NOT_CONVERGED = 4
-
-TOPN_POINTS = [1, 5, 10, 25, 50, 100, 200]
 
 
 def _read_config(ctx: click.Context, _param, path: str | None) -> None:
@@ -53,17 +52,20 @@ def _read_config(ctx: click.Context, _param, path: str | None) -> None:
 def _check_out(_ctx, _param, path: str | None) -> str | None:
     """Refuse, before the command does any work, an output path that
     ``open(path, "w")`` would refuse for where it is, with its error: an
-    existing directory, or a parent that is missing or not a directory.
-    Neither creates the file nor needs write permission on the directory."""
+    empty path, a parent that is missing or not a directory, an existing
+    directory, or a path ending in a separator. Neither creates the file
+    nor needs write permission on the directory."""
     if path is None:
         return None
-    if os.path.isdir(path):
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if not path:
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     try:
         # The trailing separator makes a regular file fail as ENOTDIR.
-        os.stat(os.path.join(os.path.dirname(path) or ".", ""))
+        os.stat(os.path.join(os.path.dirname(path.rstrip(os.sep)) or ".", ""))
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, path) from None
+    if os.path.isdir(path) or path.endswith(os.sep):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     return path
 
 
@@ -165,41 +167,30 @@ def compare(cases_path, out_path, **params):
     base.validate()
     report = {"parameters": {k: getattr(base, k) for k in params},
               "cases": [], "errors": []}
+    runtime = dict.fromkeys(METHODS, 0.0)
     for path in spec_files:
         try:
             case = generate_planted_case(CaseSpec.from_json(path.read_text()))
         except (ValueError, TypeError) as exc:
             report["errors"].append({"case": path.name, "error": str(exc)})
             continue
-        row = {"case": path.name, "spec": json.loads(case.spec.to_json()),
-               "methods": [], "topn": {}}
-        for method in METHODS:
-            cfg = dataclasses.replace(base, method=method)
-            try:
-                result = run_method(case.source, GraphProvider(case.graph), cfg)
-            except (ValueError, RuntimeError) as exc:
-                report["errors"].append({"case": path.name, "method": method,
-                                         "error": str(exc)})
-                continue
-            row["methods"].append(evaluate(result, case.source, case.targets))
-            if method in ("ttr", "appr", "haircut"):
-                row["topn"][method] = metrics.topn_curve(
-                    result.scores, case.targets, TOPN_POINTS)
-        report["cases"].append(row)
+        row, errors, seconds = compare_case(case, base)
+        report["cases"].append({"case": path.name, **row})
+        report["errors"] += [{"case": path.name, "method": m, "error": e}
+                             for m, e in errors.items()]
+        for method, s in seconds.items():
+            runtime[method] += s
 
-    aggregates = {}
-    for method in METHODS:
-        rows = [m for row in report["cases"] for m in row["methods"]
-                if m["method"] == method]
-        if rows:
-            aggregates[method] = {
-                "recall": statistics.mean(r["recall"] for r in rows),
-                "nodes": statistics.mean(r["nodes"] for r in rows),
-                "depth": statistics.mean(r["depth"] for r in rows),
-            }
-    report["aggregate"] = aggregates
+    report["aggregate"] = {
+        method: {key: statistics.mean(r[key] for r in rows)
+                 for key in ("recall", "nodes", "depth")}
+        for method in METHODS
+        if (rows := [m for row in report["cases"] for m in row["methods"]
+                     if m["method"] == method])}
     Path(out_path).write_text(json.dumps(report, sort_keys=True, indent=1) + "\n")
-    click.echo(f"wrote {out_path} ({len(report['cases'])} cases)", err=True)
+    timings = " ".join(f"{m} runtime_s={s:.3f}" for m, s in runtime.items())
+    click.echo(f"{timings} wrote {out_path} ({len(report['cases'])} cases)",
+               err=True)
 
 
 @main.command("gen-case")

@@ -3,16 +3,18 @@ expansion/provider framework and report comparable results."""
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 from . import baselines, community, metrics
+from .cases import PlantedCase
 from .community import Community, extract_community
 from .expansion import TraceResult, run_expansion
 from .graph import TransactionGraph
-from .providers import EdgeProvider
+from .providers import EdgeProvider, GraphProvider
 from .ttr import TraceParams
 
 METHODS = ("ttr", "appr", "bfs", "poison", "haircut")
+TOPN_POINTS = [1, 5, 10, 25, 50, 100, 200]
 
 
 @dataclass(frozen=True)
@@ -115,5 +117,26 @@ def evaluate(result: MethodResult, source: str, targets: set[str]) -> dict:
         "recall": metrics.recall(out_nodes, targets),
         "nodes": len(out_nodes),
         "depth": depth,
-        "runtime_s": result.runtime_s,
     }
+
+
+def compare_case(case: PlantedCase, base: RunConfig
+                 ) -> tuple[dict, dict[str, str], dict[str, float]]:
+    """Run every method on ``case`` with ``base``'s parameters. Returns
+    the report row (spec, ``evaluate`` rows, top-N curves), the error of
+    each method that raised, and each method's seconds."""
+    row = {"spec": asdict(case.spec), "methods": [], "topn": {}}
+    errors, seconds = {}, {}
+    for method in METHODS:
+        try:
+            result = run_method(case.source, GraphProvider(case.graph),
+                                replace(base, method=method))
+        except (ValueError, RuntimeError) as exc:
+            errors[method] = str(exc)
+            continue
+        seconds[method] = result.runtime_s
+        row["methods"].append(evaluate(result, case.source, case.targets))
+        if method in ("ttr", "appr", "haircut"):
+            row["topn"][method] = metrics.topn_curve(
+                result.scores, case.targets, TOPN_POINTS)
+    return row, errors, seconds

@@ -5,8 +5,8 @@ and print every difference.
 
 OTHER_SRC is the ``src`` directory of another checkout, such as a
 ``git archive`` of the parent commit. Each side runs the whole matrix
-twice, under PYTHONHASHSEED 0 and 7, each time in a fresh temporary
-directory with relative paths:
+three times, under PYTHONHASHSEED 0, 7 and 2, each time in a fresh
+temporary directory with relative paths:
 
 - ``gen-case`` writes three planted cases with their edge CSVs;
 - ``trace`` runs every method in JSON and GraphML over those CSVs and
@@ -18,12 +18,12 @@ directory with relative paths:
 - every error the CLI maps to an exit code is provoked once, including
   a provider that fails after its first fetch, and each command's output
   path is refused when it is an existing directory, lies below a regular
-  file or below a missing directory.
+  file or below a missing directory, ends in a separator, or is empty.
 
 Only file providers are used, so no call reaches a network. The script
 compares every exit code, stderr line and file the calls leave, with
-``runtime_s`` values masked, prints each difference, and exits 1 if
-there is any.
+the ``runtime_s`` values of stderr masked, prints each difference, and
+exits 1 if there is any.
 """
 from __future__ import annotations
 
@@ -42,7 +42,7 @@ sys.path[:0] = [str(HERE.parent), str(THIS_SRC)]
 
 from conftest import multihop_swap_rows  # noqa: E402
 
-SEEDS = ("0", "7")
+SEEDS = ("0", "7", "2")
 METHODS = ("ttr", "appr", "bfs", "poison", "haircut")
 RUNTIME = re.compile(r'(runtime_s"?[=:] ?)[0-9.eE+-]+')
 
@@ -170,9 +170,12 @@ def matrix() -> list[tuple[str, list[str], str]]:
         ("err-gen-hubs", ["gen-case", "--hubs", "-2", "--out", "hubs.json"]),
     ]
     # Output paths that open() refuses: an existing directory, a path one
-    # and two levels below a regular file.
+    # and two levels below a regular file, a path ending in a separator
+    # that names nothing or a regular file, and the empty path.
     for where, out in (("is-dir", "out"), ("under-file", "afile/r.json"),
-                       ("two-under-file", "afile/x/r.json")):
+                       ("two-under-file", "afile/x/r.json"),
+                       ("new-dir", "newname/"), ("file-as-dir", "afile/"),
+                       ("empty", "")):
         calls += [
             (f"err-trace-out-{where}", swaps + ["--out", out]),
             (f"err-compare-out-{where}", ["compare", "--cases",
@@ -206,9 +209,8 @@ def run_side(src: Path, seed: str) -> dict[tuple[str, str], str]:
             seen[("stderr", label)] = RUNTIME.sub(r"\1*", proc.stderr)
         for path in sorted(set(root.rglob("*")) - before):
             if path.is_file():
-                text = path.read_text(encoding="utf-8", errors="replace")
-                seen[("file", str(path.relative_to(root)))] = RUNTIME.sub(
-                    r"\1*", text)
+                seen[("file", str(path.relative_to(root)))] = path.read_text(
+                    encoding="utf-8", errors="replace")
     return seen
 
 

@@ -1,5 +1,7 @@
 import json
 import logging
+import os
+import re
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -31,10 +33,18 @@ def swap_rows_jsonl(path):
 def unwritable_outs(tmp_path):
     """(output path, the error ``open(path, "w")`` raises for it): an
     existing directory, a path under a regular file and one under a
-    missing directory."""
+    missing directory, a path ending in a separator whether or not it
+    names anything, and the empty path."""
     (tmp_path / "adir").mkdir()
     (tmp_path / "afile").write_text("")
     return [(str(tmp_path / "adir"), "[Errno 21] Is a directory"),
+            (os.path.join(tmp_path, "newname", ""), "[Errno 21] Is a directory"),
+            (os.path.join(tmp_path, "afile", ""), "[Errno 21] Is a directory"),
+            (os.path.join(tmp_path, "nodir", "x", ""),
+             "[Errno 2] No such file or directory"),
+            (os.path.join(tmp_path, "afile", "x", ""),
+             "[Errno 20] Not a directory"),
+            ("", "[Errno 2] No such file or directory"),
             (str(tmp_path / "afile" / "r.json"), "[Errno 20] Not a directory"),
             (str(tmp_path / "afile" / "x" / "r.json"),
              "[Errno 20] Not a directory"),
@@ -635,16 +645,21 @@ class TestCompareAndGen:
                 env={**env, "PYTHONHASHSEED": hash_seed}, cwd=tmp_path,
                 capture_output=True, text=True, timeout=120)
 
-        (tmp_path / "five.json").write_text(
+        (tmp_path / "specs").mkdir()
+        (tmp_path / "specs" / "five.json").write_text(
             '{"target_count": 5, "fan_out": 3}')
+        (tmp_path / "specs" / "ok.json").write_text('{"seed": 1, "layers": 3}')
         reports = []
         for hash_seed in ("0", "2"):
-            proc = cli("compare", "--cases", "five.json", "--out",
+            proc = cli("compare", "--cases", "specs", "--out",
                        f"r{hash_seed}.json", hash_seed=hash_seed)
             assert proc.returncode == EXIT_OK, proc.stderr
             reports.append((tmp_path / f"r{hash_seed}.json").read_bytes())
+        # The whole report, case rows included, is the same in every process.
         assert reports[0] == reports[1]
-        assert json.loads(reports[0])["errors"] == [{
+        report = json.loads(reports[0])
+        assert [row["case"] for row in report["cases"]] == ["ok.json"]
+        assert report["errors"] == [{
             "case": "five.json", "error": "fan_out must be >= target_count"}]
 
         proc = cli("gen-case", "--targets", "5", "--fan-out", "3", "--out",
@@ -654,7 +669,7 @@ class TestCompareAndGen:
             "error": "config-error",
             "message": "fan_out must be >= target_count"}
         assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "five.json", "r0.json", "r2.json"]
+            "r0.json", "r2.json", "specs"]
 
     def test_gen_case_refuses_out_of_range_spec(self, tmp_path):
         out = tmp_path / "c.json"
@@ -681,14 +696,14 @@ class TestCompareAndGen:
 
     def test_compare_records_a_failing_method_and_goes_on(self, tmp_path,
                                                           monkeypatch):
-        import fundtrace.cli as cli_mod
+        import fundtrace.runner as runner_mod
 
         def run_method_failing_poison(source, provider, config):
             if config.method == "poison":
                 raise RuntimeError("poison failed")
             return run_method(source, provider, config)
 
-        monkeypatch.setattr(cli_mod, "run_method", run_method_failing_poison)
+        monkeypatch.setattr(runner_mod, "run_method", run_method_failing_poison)
         spec = tmp_path / "case.json"
         assert self.run(["gen-case", "--seed", "1", "--layers", "3",
                          "--out", str(spec)]).exit_code == EXIT_OK
@@ -702,6 +717,13 @@ class TestCompareAndGen:
         assert [m["method"] for m in row["methods"]] == [
             "ttr", "appr", "bfs", "haircut"]
         assert set(report["aggregate"]) == {"ttr", "appr", "bfs", "haircut"}
+        # Timings go to stderr only; a method that raised took no time.
+        assert "runtime_s" not in json.dumps(report)
+        assert re.fullmatch(
+            r"ttr runtime_s=\d+\.\d{3} appr runtime_s=\d+\.\d{3} "
+            r"bfs runtime_s=\d+\.\d{3} poison runtime_s=0\.000 "
+            r"haircut runtime_s=\d+\.\d{3} wrote \S+ \(1 cases\)\n",
+            res.stderr)
 
     def test_compare_no_specs_errors(self, tmp_path):
         empty = tmp_path / "none"
