@@ -17,7 +17,6 @@ from pathlib import Path
 
 import click
 
-from . import expansion
 from .cases import CaseSpec, case_records, generate_planted_case
 from .export import write_trace
 from .graph import normalize_account
@@ -136,8 +135,6 @@ def trace(source, provider, out, format, chain_symbol, cache_dir, **params):
     run_cfg.validate()
     edge_provider = _make_provider(provider, chain_symbol, cache_dir)
     result = run_method(source, edge_provider, run_cfg)
-    if result.trace and result.trace.termination == expansion.TERM_PROVIDER_ERROR:
-        raise ProviderError("expansion aborted mid-trace")
 
     write_trace(out, result, format, {**result.provenance, "config": {
         **dataclasses.asdict(run_cfg), "source": source, "provider": provider,
@@ -159,7 +156,10 @@ def trace(source, provider, out, format, chain_symbol, cache_dir, **params):
 def compare(cases_path, out_path, **params):
     """Run all methods on each planted case and write a report table."""
     root = Path(cases_path)
-    spec_files = sorted(root.glob("*.json")) if root.is_dir() else [root]
+    # A report written into the spec directory is not a spec.
+    spec_files = ([p for p in sorted(root.glob("*.json"))
+                   if p.resolve() != Path(out_path).resolve()]
+                  if root.is_dir() else [root])
     if not spec_files:
         raise ValueError(f"no case specs under {cases_path}")
 

@@ -10,22 +10,18 @@ grows.
 """
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 
 from .graph import TransactionGraph, TransferEdge
-from .providers import EdgeProvider, ProviderError
+from .providers import EdgeProvider
 from .ttr import ANY_TOKEN, SEED_TS, ResidualLedger, TraceParams, local_push
 
 TERM_CONVERGED = "residuals-below-epsilon"
 TERM_BUDGET = "budget-exhausted"
-TERM_PROVIDER_ERROR = "provider-error"
 
 # Largest |rank + residual + dropped - 1| a finished trace may show.
 MASS_TOLERANCE = 1e-9
-
-log = logging.getLogger("fundtrace")
 
 
 @dataclass
@@ -87,14 +83,13 @@ class _EdgeCache:
 
 def run_expansion(source: str, provider: EdgeProvider, params: TraceParams
                   ) -> TraceResult:
-    """Trace from ``source`` until convergence, ``params.budget`` pops,
-    or a provider error. A provider error on the source's own fetch is
-    raised, since nothing has been traced yet.
+    """Trace from ``source`` until convergence or ``params.budget`` pops.
 
-    Raises ValueError for a parameter out of range. Raises RuntimeError
-    if the pop count passes the 1/(eps*alpha) bound, or if rank, residual
-    and dropped mass do not sum to 1 when the loop ends; a correct push
-    does neither.
+    A ProviderError from any fetch propagates: a trace missing an
+    account's edges is not a result. Raises ValueError for a parameter
+    out of range. Raises RuntimeError if the pop count passes the
+    1/(eps*alpha) bound, or if rank, residual and dropped mass do not sum
+    to 1 when the loop ends; a correct push does neither.
     """
     params.validate()
     rank: dict[str, float] = {}
@@ -113,15 +108,7 @@ def run_expansion(source: str, provider: EdgeProvider, params: TraceParams
         if budget is not None and iterations >= budget:
             termination = TERM_BUDGET
             break
-        try:
-            graph = cache.expand(node)
-        except ProviderError as exc:
-            if iterations == 0:
-                raise
-            log.warning("expansion stopped at %s: %s", node, exc)
-            termination = TERM_PROVIDER_ERROR
-            break
-        local_push(node, graph, params, rank, ledger)
+        local_push(node, cache.expand(node), params, rank, ledger)
         iterations += 1
         if iterations > pop_bound:
             raise RuntimeError(

@@ -13,8 +13,9 @@ temporary directory with relative paths:
   over one JSON-lines swap file, plus ``--hub-cap``, ``--budget`` and
   ``--config`` runs;
 - ``compare`` runs over the cases, with and without flags, over a
-  directory holding specs it must record as errors, and over a spec with
-  more targets than branches;
+  directory holding specs it must record as errors, over a spec with
+  more targets than branches, and twice over a directory that its own
+  ``--out`` report lies in;
 - every error the CLI maps to an exit code is provoked once, including
   a provider that fails after its first fetch, and each command's output
   path is refused when it is an existing directory, lies below a regular
@@ -71,7 +72,7 @@ INPUTS = {"c1": ("c1.csv", "src"), "c2": ("c2.csv", "src"),
 
 def write_inputs(root: Path) -> None:
     """The files the matrix reads that no call writes."""
-    for name in ("cases", "mixed", "empty", "out"):
+    for name in ("cases", "mixed", "empty", "out", "own"):
         (root / name).mkdir()
     with open(root / "swaps.jsonl", "w", encoding="utf-8") as fh:
         for s, t, a, ts, tok, h in multihop_swap_rows(5, 12, 60, 20):
@@ -107,6 +108,8 @@ def matrix() -> list[tuple[str, list[str], str]]:
                     "--out", "cases/c3.json", "--edges-out", "c3.csv"]),
         ("gen-mixed", ["gen-case", "--seed", "4", "--layers", "3",
                        "--out", "mixed/ok.json"]),
+        ("gen-own", ["gen-case", "--seed", "5", "--layers", "3",
+                     "--out", "own/c.json"]),
     ]
     for stem, (edges, source) in INPUTS.items():
         base = ["trace", "--source", source, "--provider", edges]
@@ -132,6 +135,10 @@ def matrix() -> list[tuple[str, list[str], str]]:
                                      "--out", "report-mixed.json"]),
         ("compare-more-targets-than-branches", [
             "compare", "--cases", "five.json", "--out", "report-five.json"]),
+        ("compare-own-dir", ["compare", "--cases", "own",
+                             "--out", "own/report.json"]),
+        ("compare-own-dir-again", ["compare", "--cases", "own",
+                                   "--out", "own/report.json"]),
         ("err-trace-no-source", ["trace"]),
         ("err-trace-missing-provider", ["trace", "--source", "n00",
                                         "--provider", "nope.csv"]),

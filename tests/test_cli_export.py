@@ -407,8 +407,9 @@ class TestTraceCommand:
         res = self.run(["trace", "--source", "a", "--provider", edges,
                         "--out", str(out)])
         assert res.exit_code == EXIT_PROVIDER
-        assert json.loads(res.stderr.strip().splitlines()[-1]) == {
-            "error": "provider-error", "message": "expansion aborted mid-trace"}
+        [line] = res.stderr.splitlines()
+        assert json.loads(line) == {"error": "provider-error",
+                                    "message": "rate limited"}
         assert not out.exists()
         assert not (tmp_path / "r.json.provenance.json").exists()
 
@@ -724,6 +725,28 @@ class TestCompareAndGen:
             r"bfs runtime_s=\d+\.\d{3} poison runtime_s=0\.000 "
             r"haircut runtime_s=\d+\.\d{3} wrote \S+ \(1 cases\)\n",
             res.stderr)
+
+    def test_compare_skips_its_own_report_in_the_cases_dir(self, tmp_path):
+        specs = tmp_path / "specs"
+        specs.mkdir()
+        assert self.run(["gen-case", "--seed", "5", "--layers", "3", "--out",
+                         str(specs / "c.json")]).exit_code == EXIT_OK
+        reports = []
+        for _ in range(2):
+            res = self.run(["compare", "--cases", str(specs),
+                            "--out", str(specs / "report.json")])
+            assert res.exit_code == EXIT_OK, res.output
+            reports.append((specs / "report.json").read_bytes())
+        assert reports[0] == reports[1]
+        report = json.loads(reports[1])
+        assert [row["case"] for row in report["cases"]] == ["c.json"]
+        assert report["errors"] == []
+
+        # With only the report left, the directory holds no spec.
+        (specs / "c.json").unlink()
+        res = self.run(["compare", "--cases", str(specs),
+                        "--out", str(specs / "report.json")])
+        assert config_error_message(res) == f"no case specs under {specs}"
 
     def test_compare_no_specs_errors(self, tmp_path):
         empty = tmp_path / "none"

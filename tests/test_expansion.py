@@ -6,9 +6,8 @@ from hypothesis import strategies as st
 
 from conftest import (build_graph, multihop_swap_rows, random_txgraph,
                       seeded_trace)
-from fundtrace.expansion import (TERM_BUDGET, TERM_CONVERGED,
-                                 TERM_PROVIDER_ERROR, _EdgeCache, pop,
-                                 run_expansion)
+from fundtrace.expansion import (TERM_BUDGET, TERM_CONVERGED, _EdgeCache,
+                                 pop, run_expansion)
 from fundtrace.graph import TransferEdge
 from fundtrace.providers import GraphProvider, ProviderError
 from fundtrace.ttr import ResidualLedger, TraceParams, local_push
@@ -145,23 +144,22 @@ def test_budget_exhaustion_partial_result():
     assert result.iterations == 3
 
 
-def test_provider_error_preserves_partial_result(caplog):
+@pytest.mark.parametrize("fail_after", [0, 1, 2])
+def test_provider_error_on_any_fetch_is_raised(fail_after, caplog):
     g = build_graph([
         ("a", "b", 10.0, 1, "T", "h1"),
         ("b", "c", 5.0, 2, "T", "h2"),
+        ("c", "d", 2.0, 3, "T", "h3"),
     ])
+    # Unfailing, the trace fetches a third account, so each case fails.
+    provider = GraphProvider(g)
+    run_expansion("a", provider, TraceParams())
+    assert provider.calls >= 3
     with caplog.at_level("WARNING", logger="fundtrace"):
-        result = run_expansion("a", FailingProvider(g, fail_after=1),
-                               TraceParams())
-    assert result.termination == TERM_PROVIDER_ERROR
-    assert result.rank.get("a", 0.0) > 0
-    assert "expansion stopped at b: boom" in caplog.text
-
-
-def test_provider_error_on_the_source_is_raised():
-    g = build_graph([("a", "b", 10.0, 1, "T", "h1")])
-    with pytest.raises(ProviderError, match="boom"):
-        run_expansion("a", FailingProvider(g, fail_after=0), TraceParams())
+        with pytest.raises(ProviderError, match="^boom$"):
+            run_expansion("a", FailingProvider(g, fail_after=fail_after),
+                          TraceParams())
+    assert [r for r in caplog.records if r.levelname == "WARNING"] == []
 
 
 def test_subgraph_soundness_and_connectivity():

@@ -171,6 +171,33 @@ class TestHttpProvider:
         err = json.loads(res.stderr.strip().splitlines()[-1])
         assert err["error"] == "provider-error"
 
+    def test_failure_after_the_source_names_its_account(self, monkeypatch,
+                                                         tmp_path):
+        from click.testing import CliRunner
+
+        import fundtrace.cli as cli_mod
+
+        script = {("a", "txlist"): [ok([record("a", "b", 5, 10, h="0x1")])],
+                  ("b", "txlist"): [FakeResponse(None, status_code=503)]}
+        sessions = []
+
+        def scripted_http(base_url, **kwargs):
+            provider, session = make_provider(script)
+            sessions.append(session)
+            return provider
+
+        monkeypatch.setattr(cli_mod, "HttpProvider", scripted_http)
+        out = tmp_path / "out.json"
+        res = CliRunner().invoke(cli_mod.main, [
+            "trace", "--source", "a", "--provider", "https://api.example/api",
+            "--out", str(out)])
+        assert res.exit_code == cli_mod.EXIT_PROVIDER, res.output
+        assert json.loads(res.stderr.strip().splitlines()[-1]) == {
+            "error": "provider-error",
+            "message": "txlist failed for b after 3 attempts: 503"}
+        assert sessions[0].requests.count(("b", "txlist")) == 3
+        assert not out.exists()
+
     def test_status_zero_means_empty(self):
         script = {("a", "txlist"): [FakeResponse({"status": "0",
                                                   "result": "No transactions found"})],
