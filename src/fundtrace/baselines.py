@@ -13,6 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .graph import TransactionGraph, TransferEdge
+from .ttr import TraceParams
 
 
 @dataclass
@@ -123,10 +124,7 @@ def appr_rank(graph: TransactionGraph, source: str, alpha: float = 0.15,
     as a self-loop so mass stays accounted. Every residual is below
     epsilon on return; only non-zero entries are returned.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0,1), got {alpha}")
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must be in (0,1), got {epsilon}")
+    TraceParams(alpha=alpha, epsilon=epsilon).validate()
     rank: dict[str, float] = {}
     residual = {source: 1.0}
     targets: dict[str, list[str]] = {}

@@ -35,6 +35,7 @@ def _read_config(ctx: click.Context, _param, path: str | None) -> None:
     click converts and checks its values exactly as it does flags."""
     if path is None:
         return
+    ctx.meta["fundtrace.config"] = path
     loaded = json.loads(Path(path).read_text())
     if not isinstance(loaded, dict):
         raise ValueError(f"{path}: not a JSON object")
@@ -130,6 +131,12 @@ def trace(source, provider, out, format, chain_symbol, cache_dir, **params):
     """Trace from --source and write the result graph plus provenance."""
     if not source or not provider:
         raise ValueError("--source and --provider are required")
+    # No output may replace a file the run reads; a URL names no file.
+    writes = {Path(out).resolve(), Path(f"{out}.provenance.json").resolve()}
+    config = click.get_current_context().meta.get("fundtrace.config")
+    for what, path in (("--config", config), ("--provider", provider)):
+        if path and os.path.isfile(path) and Path(path).resolve() in writes:
+            raise ValueError(f"--out {out} would overwrite {what} {path}")
     run_cfg = RunConfig(**{k: v for k, v in params.items() if v is not None})
     source = normalize_account(source)
     run_cfg.validate()
@@ -156,10 +163,9 @@ def trace(source, provider, out, format, chain_symbol, cache_dir, **params):
 def compare(cases_path, out_path, **params):
     """Run all methods on each planted case and write a report table."""
     root = Path(cases_path)
-    # A report written into the spec directory is not a spec.
-    spec_files = ([p for p in sorted(root.glob("*.json"))
-                   if p.resolve() != Path(out_path).resolve()]
-                  if root.is_dir() else [root])
+    # A report is not a spec: the --out file is never read as one.
+    specs = sorted(root.glob("*.json")) if root.is_dir() else [root]
+    spec_files = [p for p in specs if p.resolve() != Path(out_path).resolve()]
     if not spec_files:
         raise ValueError(f"no case specs under {cases_path}")
 
@@ -206,6 +212,8 @@ def compare(cases_path, out_path, **params):
               help="Also write the generated edges as an ingestable CSV.")
 def gen_case(out_path, edges_out, **fields):
     """Generate a planted case spec (deterministic under --seed)."""
+    if edges_out and Path(edges_out).resolve() == Path(out_path).resolve():
+        raise ValueError(f"--out and --edges-out are one file: {out_path}")
     spec = CaseSpec(**{k: v for k, v in fields.items() if v is not None})
     case = generate_planted_case(spec)
     Path(out_path).write_text(spec.to_json() + "\n")

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph import TransactionGraph
+from .ttr import TraceParams
 
 
 @dataclass
@@ -49,8 +50,7 @@ def extract_community(graph: TransactionGraph, rank: dict[str, float],
                       source: str, phi: float) -> Community:
     if source not in graph.nodes:
         raise ValueError(f"source {source!r} not in subgraph")
-    if not phi > 0.0:
-        raise ValueError("phi must be > 0")
+    TraceParams(phi=phi).validate()
 
     members: list[str] = [source]
     member_set = {source}

@@ -84,18 +84,8 @@ class TransactionGraph:
         self._windows: dict[tuple[str, str | None, str],
                             tuple[Sequence[TransferEdge], array]] = {}
 
-    def __len__(self) -> int:
-        return len(self.nodes)
-
-    @property
-    def num_edges(self) -> int:
-        return len(self.edges)
-
     def out_edges(self, node: str) -> Sequence[TransferEdge]:
         return self._out.get(node, ())
-
-    def in_edges(self, node: str) -> Sequence[TransferEdge]:
-        return self._in.get(node, ())
 
     def incident_edges(self, node: str) -> list[TransferEdge]:
         """Edges with ``node`` at either end, a self-loop once."""

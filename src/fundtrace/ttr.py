@@ -76,9 +76,6 @@ class ResidualLedger:
     def node_total(self, node: str) -> float:
         return self._totals.get(node, 0.0)
 
-    def node_entries(self, node: str) -> dict[tuple, float]:
-        return dict(self._entries.get(node, {}))
-
     def clear_node(self, node: str) -> dict[tuple, float]:
         """Remove and return all entries of a node."""
         snapshot = self._entries.pop(node, {})
@@ -100,9 +97,6 @@ class ResidualLedger:
         for node, keys in self._entries.items():
             for (ts, token), value in keys.items():
                 yield node, ts, token, value
-
-    def __len__(self) -> int:
-        return sum(len(keys) for keys in self._entries.values())
 
 
 def redirect_set(edge: TransferEdge, graph: TransactionGraph, node: str,

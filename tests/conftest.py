@@ -28,6 +28,13 @@ def seeded_trace(source):
     return {}, ledger
 
 
+def residuals(ledger, node):
+    """``node``'s ledger entries as {(timestamp, token): mass}, read
+    through ``ResidualLedger.items``."""
+    return {(ts, token): value
+            for n, ts, token, value in ledger.items() if n == node}
+
+
 @pytest.fixture
 def swap_redirect_graph():
     """Incoming USDC at u is exchanged to ETH under one hash and spent

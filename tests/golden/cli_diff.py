@@ -19,12 +19,17 @@ temporary directory with relative paths:
 - every error the CLI maps to an exit code is provoked once, including
   a provider that fails after its first fetch, and each command's output
   path is refused when it is an existing directory, lies below a regular
-  file or below a missing directory, ends in a separator, or is empty.
+  file or below a missing directory, ends in a separator, or is empty;
+- four calls name one file twice: ``compare`` with its spec file as
+  ``--out``, ``trace`` with its edge file or its ``--config`` file as
+  ``--out``, and ``gen-case`` with one file as ``--out`` and
+  ``--edges-out``. The bytes of that file are read right after the call.
 
 Only file providers are used, so no call reaches a network. The script
-compares every exit code, stderr line and file the calls leave, with
-the ``runtime_s`` values of stderr masked, prints each difference, and
-exits 1 if there is any.
+compares every exit code, stderr line and file the calls leave, and the
+bytes of each file the four calls above name, with the ``runtime_s``
+values of stderr masked, prints each difference, and exits 1 if there
+is any.
 """
 from __future__ import annotations
 
@@ -68,10 +73,15 @@ main(sys.argv[1:], prog_name="fundtrace")
 
 INPUTS = {"c1": ("c1.csv", "src"), "c2": ("c2.csv", "src"),
           "c3": ("c3.csv", "src"), "swaps": ("swaps.jsonl", "n00")}
+# The file that each call naming one file twice must leave as it was.
+KEPT = {"compare-out-is-spec": "own-spec.json",
+        "trace-out-is-provider": "own-edges.jsonl",
+        "trace-out-is-config": "own-cfg.json",
+        "gen-out-is-edges-out": "own-gen.csv"}
 
 
 def write_inputs(root: Path) -> None:
-    """The files the matrix reads that no call writes."""
+    """The files the matrix reads, which no call may write."""
     for name in ("cases", "mixed", "empty", "out", "own"):
         (root / name).mkdir()
     with open(root / "swaps.jsonl", "w", encoding="utf-8") as fh:
@@ -87,6 +97,11 @@ def write_inputs(root: Path) -> None:
         (root / f"cfg-{stem}.json").write_text(json.dumps({
             "source": source, "provider": edges, "phi": 0.5, "depth": 3,
             "out": f"out/{stem}-config.json"}))
+    (root / "own-spec.json").write_text('{"layers": 3, "seed": 5}')
+    (root / "own-edges.jsonl").write_bytes((root / "swaps.jsonl").read_bytes())
+    (root / "own-cfg.json").write_text(
+        '{"source": "n00", "provider": "swaps.jsonl"}')
+    (root / "own-gen.csv").write_text("kept\n")
     (root / "cfg-bad-json.json").write_text("{source: a}")
     (root / "cfg-latin1.json").write_bytes(b'{"source": "\xff"}')
     (root / "cfg-list.json").write_text("[1, 2]")
@@ -139,6 +154,15 @@ def matrix() -> list[tuple[str, list[str], str]]:
                              "--out", "own/report.json"]),
         ("compare-own-dir-again", ["compare", "--cases", "own",
                                    "--out", "own/report.json"]),
+        ("compare-out-is-spec", ["compare", "--cases", "own-spec.json",
+                                 "--out", "own-spec.json"]),
+        ("trace-out-is-provider", ["trace", "--source", "n00", "--provider",
+                                   "own-edges.jsonl",
+                                   "--out", "own-edges.jsonl"]),
+        ("trace-out-is-config", ["trace", "--config", "own-cfg.json",
+                                 "--out", "own-cfg.json"]),
+        ("gen-out-is-edges-out", ["gen-case", "--out", "own-gen.csv",
+                                  "--edges-out", "own-gen.csv"]),
         ("err-trace-no-source", ["trace"]),
         ("err-trace-missing-provider", ["trace", "--source", "n00",
                                         "--provider", "nope.csv"]),
@@ -200,7 +224,8 @@ def matrix() -> list[tuple[str, list[str], str]]:
 
 def run_side(src: Path, seed: str) -> dict[tuple[str, str], str]:
     """Every observation of one run of the matrix, keyed by kind and
-    name: each call's exit code and stderr, and each file left behind."""
+    name: each call's exit code and stderr, the bytes of each ``KEPT``
+    file right after its call, and each file left behind."""
     seen: dict[tuple[str, str], str] = {}
     env = {"PATH": os.environ.get("PATH", ""), "PYTHONPATH": str(src),
            "PYTHONHASHSEED": seed}
@@ -214,6 +239,11 @@ def run_side(src: Path, seed: str) -> dict[tuple[str, str], str]:
                                   text=True, timeout=300)
             seen[("exit", label)] = str(proc.returncode)
             seen[("stderr", label)] = RUNTIME.sub(r"\1*", proc.stderr)
+            if label in KEPT:
+                kept = root / KEPT[label]
+                seen[("input", f"{label} {KEPT[label]}")] = (
+                    kept.read_text(encoding="utf-8", errors="replace")
+                    if kept.exists() else "(deleted)")
         for path in sorted(set(root.rglob("*")) - before):
             if path.is_file():
                 seen[("file", str(path.relative_to(root)))] = path.read_text(
@@ -252,7 +282,7 @@ def main(argv=None) -> int:
         for run, value in values.items():
             if value is None:
                 shown = "absent"
-            elif kind != "file":
+            elif kind in ("exit", "stderr"):
                 shown = repr(value.strip())
             elif value == reference.get((kind, name)):
                 shown = "same as this@0"
@@ -261,8 +291,8 @@ def main(argv=None) -> int:
             print(f"  {run}: {shown}")
     calls = len(matrix())
     files = sum(kind == "file" for kind, _ in keys)
-    print(f"{calls} calls and {files} files per run, runs "
-          f"{', '.join(runs)}: {differences} differ")
+    print(f"{calls} calls, {files} files and {len(KEPT)} kept inputs per "
+          f"run, runs {', '.join(runs)}: {differences} differ")
     return 1 if differences else 0
 
 

@@ -295,7 +295,7 @@ def test_criterion_10_export_validity(tmp_path):
             assert data.get("key") in declared
     back = nx.read_graphml(str(out))
     assert set(back.nodes) == g.nodes
-    assert back.number_of_edges() == g.num_edges
+    assert back.number_of_edges() == len(g.edges)
 
     payload = graph_to_json(g, rank={"n00": 0.5}, source="n00")
     restored = graph_from_json(json.loads(json.dumps(payload)))

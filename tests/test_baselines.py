@@ -255,6 +255,15 @@ class TestAppr:
         with pytest.raises(ValueError, match="epsilon"):
             appr_rank(g, "a", epsilon=1.5)
 
+    def test_range_messages_name_the_value(self):
+        g = build_graph([("a", "b", 1.0, 1, "T", "h1")])
+        with pytest.raises(ValueError,
+                           match=r"^alpha must be in \(0,1\), got 0\.0$"):
+            appr_rank(g, "a", alpha=0.0)
+        with pytest.raises(ValueError,
+                           match=r"^epsilon must be in \(0,1\), got 1\.0$"):
+            appr_rank(g, "a", epsilon=1.0)
+
 
 class TestExactPpr:
     def test_single_self_loop(self):

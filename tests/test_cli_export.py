@@ -74,7 +74,7 @@ class TestExport:
         graph_el = root.find(f"{GRAPHML_NS}graph")
         assert graph_el.get("edgedefault") == "directed"
         assert len(graph_el.findall(f"{GRAPHML_NS}node")) == len(g.nodes)
-        assert len(graph_el.findall(f"{GRAPHML_NS}edge")) == g.num_edges
+        assert len(graph_el.findall(f"{GRAPHML_NS}edge")) == len(g.edges)
 
     def test_graphml_networkx_round_trip(self, tmp_path):
         g = build_graph(FIG_SWAP_ROWS)
@@ -83,7 +83,7 @@ class TestExport:
                       community={"a", "u"})
         back = nx.read_graphml(str(out))
         assert set(back.nodes) == g.nodes
-        assert back.number_of_edges() == g.num_edges
+        assert back.number_of_edges() == len(g.edges)
         assert back.nodes["a"]["is_source"] is True
         assert back.nodes["x"]["in_community"] is False
         swap_edges = [d for _, _, d in back.edges(data=True)
@@ -326,7 +326,7 @@ class TestTraceCommand:
             assert warnings[0].endswith(f"(in {edges})")
             payload = json.loads((tmp_path / "o.json").read_text())
             assert set(payload["nodes"]) <= {"a", "b", "c"}
-            assert load_graph(str(edges)).num_edges == 2
+            assert len(load_graph(str(edges)).edges) == 2
 
     def test_missing_required_options(self):
         res = self.run(["trace"])
@@ -371,6 +371,49 @@ class TestTraceCommand:
                                 provider, "--out", out])
                 assert config_error_message(res) == f"{error}: '{out}'"
         assert calls == []
+
+    def test_out_over_the_edge_file_is_refused(self, tmp_path, monkeypatch):
+        import fundtrace.cli as cli_mod
+
+        calls = []
+        monkeypatch.setattr(cli_mod, "_make_provider",
+                            lambda *args: calls.append("provider"))
+        edges = swap_rows_jsonl(tmp_path / "e.jsonl")
+        (tmp_path / "x").mkdir()
+        alias = str(tmp_path / "x" / ".." / "e.jsonl")
+        named = swap_rows_jsonl(tmp_path / "r.json.provenance.json")
+        # --out itself, the same file by another name, and an --out whose
+        # provenance file is the edge file.
+        for provider, out in ((edges, edges), (edges, alias),
+                              (named, str(tmp_path / "r.json"))):
+            kept = Path(provider).read_bytes()
+            res = self.run(["trace", "--source", "a", "--provider", provider,
+                            "--out", out])
+            assert config_error_message(res) == (
+                f"--out {out} would overwrite --provider {provider}")
+            assert Path(provider).read_bytes() == kept
+        assert calls == []
+        assert not (tmp_path / "r.json").exists()
+
+    def test_out_over_the_config_file_is_refused(self, tmp_path, monkeypatch):
+        import fundtrace.cli as cli_mod
+
+        calls = []
+        monkeypatch.setattr(cli_mod, "_make_provider",
+                            lambda *args: calls.append("provider"))
+        edges = swap_rows_jsonl(tmp_path / "e.jsonl")
+        for name, out in (("cfg.json", "cfg.json"),
+                          ("o.json.provenance.json", "o.json")):
+            cfg = tmp_path / name
+            cfg.write_text(json.dumps({"source": "a", "provider": edges}))
+            kept = cfg.read_bytes()
+            res = self.run(["trace", "--config", str(cfg),
+                            "--out", str(tmp_path / out)])
+            assert config_error_message(res) == (
+                f"--out {tmp_path / out} would overwrite --config {cfg}")
+            assert cfg.read_bytes() == kept
+        assert calls == []
+        assert not (tmp_path / "o.json").exists()
 
     def test_config_file_unreadable_is_a_config_error(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -565,7 +608,7 @@ class TestCompareAndGen:
         assert res.exit_code == EXIT_OK
         g = load_graph(str(edges_path))
         assert "src" in g.nodes
-        assert g.num_edges > 0
+        assert len(g.edges) > 0
 
     def test_gen_case_deterministic(self, tmp_path):
         outs = []
@@ -618,6 +661,41 @@ class TestCompareAndGen:
         for out, error in unwritable_outs(tmp_path):
             res = self.run(["compare", "--cases", str(spec), "--out", out])
             assert config_error_message(res) == f"{error}: '{out}'"
+        assert generated == []
+
+    def test_compare_never_reads_its_out_file_as_a_spec(self, tmp_path):
+        spec = tmp_path / "c.json"
+        assert self.run(["gen-case", "--seed", "5", "--layers", "3",
+                         "--out", str(spec)]).exit_code == EXIT_OK
+        kept = spec.read_bytes()
+        (tmp_path / "x").mkdir()
+        for out in (spec, tmp_path / "x" / ".." / "c.json"):
+            res = self.run(["compare", "--cases", str(spec),
+                            "--out", str(out)])
+            assert config_error_message(res) == f"no case specs under {spec}"
+            assert spec.read_bytes() == kept
+
+    def test_gen_case_refuses_one_file_for_both_outputs(self, tmp_path,
+                                                        monkeypatch):
+        import fundtrace.cli as cli_mod
+
+        generated = []
+        monkeypatch.setattr(cli_mod, "generate_planted_case",
+                            lambda spec: generated.append(spec))
+        spec = tmp_path / "c.json"
+        (tmp_path / "x").mkdir()
+        alias = str(tmp_path / "x" / ".." / "c.json")
+        for edges_out in (str(spec), alias):
+            res = self.run(["gen-case", "--out", str(spec),
+                            "--edges-out", edges_out])
+            assert config_error_message(res) == (
+                f"--out and --edges-out are one file: {spec}")
+            assert not spec.exists()
+        spec.write_text("kept\n")
+        res = self.run(["gen-case", "--out", str(spec),
+                        "--edges-out", str(spec)])
+        assert res.exit_code == EXIT_CONFIG
+        assert spec.read_text() == "kept\n"
         assert generated == []
 
     def test_gen_case_unwritable_out_is_a_config_error(self, tmp_path):

@@ -71,6 +71,12 @@ def test_source_absent_errors():
         extract_community(g, rank, "nope", phi=0.5)
 
 
+def test_phi_out_of_range_names_the_value():
+    g, rank = two_node_fixture()
+    with pytest.raises(ValueError, match=r"^phi must be > 0, got 0\.0$"):
+        extract_community(g, rank, "s", phi=0.0)
+
+
 def test_source_of_zero_rank_errors():
     g, _ = two_node_fixture()
     for rank in ({"v": 0.3}, {"s": 0.0, "v": 0.3}):
@@ -162,7 +168,7 @@ def test_induced_subgraph_keeps_isolated_members():
     g, rank = two_node_fixture()
     sub = induced_subgraph(g, {"v"})
     assert sub.nodes == {"v"}
-    assert sub.num_edges == 0
+    assert len(sub.edges) == 0
 
 
 def test_boundary_directed_only():

@@ -246,7 +246,7 @@ def test_self_transfer_counted_once():
     assert len(GraphProvider(g).fetch_edges("u")) == 3
     params = TraceParams(epsilon=1e-4)
     result = run_expansion("a", GraphProvider(g), params)
-    assert result.subgraph.num_edges == 3
+    assert len(result.subgraph.edges) == 3
     assert result.rank == full_graph_push(g, "a", params)[0]
 
 

@@ -1,6 +1,7 @@
 import gc
 import json
 import logging
+import math
 import random
 import tracemalloc
 
@@ -20,8 +21,8 @@ def ingest(records, chain_symbol="ETH"):
 
 def test_empty_input():
     g = ingest([])
-    assert len(g) == 0
-    assert g.num_edges == 0
+    assert len(g.nodes) == 0
+    assert len(g.edges) == 0
 
 
 def test_two_unrelated_records_are_xfer():
@@ -31,10 +32,10 @@ def test_two_unrelated_records_are_xfer():
         {"from": "B", "to": "C", "value": "4", "timeStamp": "7",
          "tokenSymbol": "T1", "hash": "h2"},
     ])
-    assert len(g) == 3
-    assert g.num_edges == 2
+    assert len(g.nodes) == 3
+    assert len(g.edges) == 2
     assert all(g.pattern(e) is Pattern.XFER for e in g.edges)
-    assert [e.hash for e in g.in_edges("b")] == ["h1"]
+    assert [e.hash for e in g.edges_before("b", math.inf)] == ["h1"]
     assert [e.hash for e in g.out_edges("b")] == ["h2"]
 
 
@@ -46,7 +47,7 @@ def test_swap_classification_with_counter_tokens():
          "tokenSymbol": "ETH", "hash": "h2"},
     ])
     out_leg = g.out_edges("u")[0]
-    in_leg = g.in_edges("u")[0]
+    in_leg = g.edges_before("u", math.inf)[0]
     assert g.pattern(out_leg) is Pattern.SWAP
     assert g.counter_tokens("u", out_leg) == {"ETH"}
     assert g.pattern(in_leg) is Pattern.SWAP
@@ -85,7 +86,7 @@ def test_counter_tokens_decided_per_endpoint():
     assert g.counter_tokens("v", leg) == {"B"}
     assert g.pattern(leg) is Pattern.SWAP
     assert classify_patterns("u", g.incident_edges("u")) == {
-        leg: {"C"}, g.in_edges("u")[0]: {"A"}}
+        leg: {"C"}, g.edges_before("u", math.inf)[0]: {"A"}}
 
 
 def test_counter_tokens_match_oracle_on_multihop_swaps():
@@ -112,7 +113,7 @@ def test_malformed_records_skipped_with_line_numbers(caplog):
         {"from": "A", "to": "B", "value": "inf", "timeStamp": "5",
          "tokenSymbol": "T", "hash": "h5"},
     ])
-    assert g.num_edges == 1
+    assert len(g.edges) == 1
     skipped = [r.getMessage() for r in caplog.records
                if r.name == "fundtrace" and r.levelno == logging.WARNING]
     assert [m.split(":")[0] for m in skipped] == [
@@ -124,7 +125,7 @@ def test_duplicate_records_kept():
     rec = {"from": "A", "to": "B", "value": "1", "timeStamp": "1",
            "tokenSymbol": "T", "hash": "h1"}
     g = ingest([rec, dict(rec)])
-    assert g.num_edges == 2
+    assert len(g.edges) == 2
 
 
 def test_case_normalization_merges_accounts():
@@ -161,7 +162,7 @@ def test_csv_and_jsonl_ingestion_agree(tmp_path):
         '{"from":"b","to":"c","value":"4","timeStamp":"7","tokenSymbol":"T1","hash":"h2"}\n')
     g1 = load_graph(str(csv_path))
     g2 = load_graph(str(jsonl_path))
-    assert g1.num_edges == 2
+    assert len(g1.edges) == 2
     assert [e.key() for e in g1.edges] == [e.key() for e in g2.edges]
 
 
@@ -177,7 +178,7 @@ def test_byte_order_mark_is_not_data(tmp_path):
         marked.write_text(text, encoding="utf-8-sig")
         assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
         g = load_graph(str(marked))
-        assert g.num_edges == 2, name
+        assert len(g.edges) == 2, name
         assert ([e.key() for e in g.edges]
                 == [e.key() for e in load_graph(str(plain)).edges])
 
@@ -195,7 +196,7 @@ def test_missing_or_null_field_skips_record(tmp_path, caplog):
         '{"from":"a","to":"b","value":"5","timeStamp":"1","hash":null}\n'
         '{"from":"a","to":"b","value":"5","timeStamp":"1",'
         '"tokenSymbol":null,"hash":"h2"}\n')
-    assert load_graph(str(short)).num_edges == 0
+    assert len(load_graph(str(short)).edges) == 0
     g = load_graph(str(nulls), chain_symbol="BNB")
     assert [(e.token, e.hash) for e in g.edges] == [("BNB", "h2")]
     warnings = [r.getMessage() for r in caplog.records
@@ -240,7 +241,7 @@ def test_deeply_nested_json_line_is_skipped(tmp_path, caplog):
         '{"from": "a", "to": "b", "value": "1", "timeStamp": "5", '
         '"hash": "h1"}\n' + '{"x": ' + "[" * depth + "]" * depth + "}\n")
     g = load_graph(str(path))
-    assert g.num_edges == 1
+    assert len(g.edges) == 1
     assert skipped_warnings(caplog) == [
         f"skipped record 2: JSON nested too deeply (in {path})"]
 
@@ -279,7 +280,7 @@ def test_undecodable_bytes_skip_only_their_record(tmp_path, caplog):
     g = load_graph(str(csv_path))
     assert [(e.hash, e.token) for e in g.edges] == [("h1", "T"),
                                                      ("h3", "caf\u00e9")]
-    assert load_graph(str(jsonl_path)).num_edges == 1
+    assert len(load_graph(str(jsonl_path)).edges) == 1
     assert skipped_warnings(caplog) == [
         f"skipped record 2: text 'caf\\udce9' is not UTF-8 (in {csv_path})",
         f"skipped record 2: text 'b\\udcff' is not UTF-8 (in {jsonl_path})"]
@@ -294,10 +295,10 @@ def test_load_graph_memory_per_edge(tmp_path):
         start = tracemalloc.get_traced_memory()[0]
         g = load_graph(str(path))
         gc.collect()
-        per_edge = (tracemalloc.get_traced_memory()[0] - start) / g.num_edges
+        per_edge = (tracemalloc.get_traced_memory()[0] - start) / len(g.edges)
     finally:
         tracemalloc.stop()
-    assert g.num_edges == 20_000
+    assert len(g.edges) == 20_000
     assert per_edge < MAX_BYTES_PER_EDGE, f"{per_edge:.1f} B per edge"
     edge = g.edges[0]
     assert not hasattr(edge, "__dict__")
@@ -374,7 +375,7 @@ def test_token_window_filters_token_and_sums_each_window():
     edges, k, amount_sum = g.token_window("u", "T1", "in", 5)
     assert ([e.hash for e in edges[:k]], amount_sum) == (["h5"], 4.0)
     # Every incoming edge carries T1: the list is the adjacency list.
-    assert edges is g.in_edges("u")
+    assert edges is g.token_window("u", None, "in", 5)[0]
     edges, k, amount_sum = g.token_window("u", "T2", "out", 3)
     assert (len(edges), k, amount_sum) == (1, 1, 0.0)
 
@@ -384,11 +385,11 @@ def test_token_window_filters_token_and_sums_each_window():
 def test_adjacency_invariants(seed):
     g = random_txgraph(seed, swap_rate=0.2)
     out_total = sum(len(g.out_edges(u)) for u in g.nodes)
-    in_total = sum(len(g.in_edges(u)) for u in g.nodes)
-    assert out_total == in_total == g.num_edges
+    in_total = sum(len(g.edges_before(u, math.inf)) for u in g.nodes)
+    assert out_total == in_total == len(g.edges)
     assert g.edges == sorted(g.edges, key=TransferEdge.sort_key)
     for u in g.nodes:
-        for lst in (g.out_edges(u), g.in_edges(u)):
+        for lst in (g.out_edges(u), g.edges_before(u, math.inf)):
             ts = [e.timestamp for e in lst]
             assert ts == sorted(ts)
 
@@ -419,6 +420,6 @@ def test_swap_symmetry(seed):
         for e in g.out_edges(u):
             if not g.counter_tokens(u, e):
                 continue
-            partners = [o for o in g.in_edges(u)
+            partners = [o for o in g.edges_before(u, math.inf)
                         if o.hash == e.hash and o.token != e.token]
             assert any(g.counter_tokens(u, o) for o in partners)

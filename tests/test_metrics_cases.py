@@ -125,7 +125,7 @@ class TestPlantedCases:
         assert [r for r in caplog.records
                 if r.levelno >= logging.WARNING] == []
         assert graph.nodes == case.graph.nodes
-        assert graph.num_edges == case.graph.num_edges
+        assert len(graph.edges) == len(case.graph.edges)
 
     def test_hub_spoke_count(self):
         case = generate_planted_case(CaseSpec(hub_count=2, hub_spokes=30,
