@@ -69,6 +69,14 @@ def _check_out(_ctx, _param, path: str | None) -> str | None:
     return path
 
 
+def _same_file(a: str | Path, b: str | Path) -> bool:
+    """Whether ``a`` and ``b`` name one file: by device and inode when
+    both exist, so a hard link counts, by resolved path otherwise."""
+    if os.path.exists(a) and os.path.exists(b):
+        return os.path.samefile(a, b)
+    return Path(a).resolve() == Path(b).resolve()
+
+
 def _make_provider(spec: str, chain_symbol: str, cache_dir: str | None):
     if spec.startswith(("http://", "https://")):
         return HttpProvider(spec, chain_symbol=chain_symbol,
@@ -132,10 +140,10 @@ def trace(source, provider, out, format, chain_symbol, cache_dir, **params):
     if not source or not provider:
         raise ValueError("--source and --provider are required")
     # No output may replace a file the run reads; a URL names no file.
-    writes = {Path(out).resolve(), Path(f"{out}.provenance.json").resolve()}
     config = click.get_current_context().meta.get("fundtrace.config")
     for what, path in (("--config", config), ("--provider", provider)):
-        if path and os.path.isfile(path) and Path(path).resolve() in writes:
+        if path and os.path.isfile(path) and any(
+                _same_file(path, w) for w in (out, f"{out}.provenance.json")):
             raise ValueError(f"--out {out} would overwrite {what} {path}")
     run_cfg = RunConfig(**{k: v for k, v in params.items() if v is not None})
     source = normalize_account(source)
@@ -165,7 +173,7 @@ def compare(cases_path, out_path, **params):
     root = Path(cases_path)
     # A report is not a spec: the --out file is never read as one.
     specs = sorted(root.glob("*.json")) if root.is_dir() else [root]
-    spec_files = [p for p in specs if p.resolve() != Path(out_path).resolve()]
+    spec_files = [p for p in specs if not _same_file(p, out_path)]
     if not spec_files:
         raise ValueError(f"no case specs under {cases_path}")
 
@@ -212,7 +220,7 @@ def compare(cases_path, out_path, **params):
               help="Also write the generated edges as an ingestable CSV.")
 def gen_case(out_path, edges_out, **fields):
     """Generate a planted case spec (deterministic under --seed)."""
-    if edges_out and Path(edges_out).resolve() == Path(out_path).resolve():
+    if edges_out and _same_file(edges_out, out_path):
         raise ValueError(f"--out and --edges-out are one file: {out_path}")
     spec = CaseSpec(**{k: v for k, v in fields.items() if v is not None})
     case = generate_planted_case(spec)

@@ -71,7 +71,7 @@ class _EdgeCache:
         graph = self._graphs[account] = TransactionGraph(edges)
         copies: dict[tuple, list[TransferEdge]] = {}
         for e in graph.edges:
-            copies.setdefault(e.key(), []).append(e)
+            copies.setdefault(e.sort_key(), []).append(e)
         for key, group in copies.items():
             if len(group) > len(self._edges.get(key, ())):
                 self._edges[key] = group

@@ -46,18 +46,15 @@ class TransferEdge:
     token: str
     hash: str
 
-    def key(self) -> tuple:
-        return (self.src, self.tgt, self.amount, self.timestamp,
-                self.token, self.hash)
-
     def sort_key(self) -> tuple:
-        return (self.timestamp, self.hash, self.token, self.tgt, self.src)
+        return (self.timestamp, self.hash, self.token, self.tgt, self.src,
+                self.amount)
 
 
 class TransactionGraph:
     """Immutable-after-build multigraph. ``edges`` and every adjacency
-    list are in ``TransferEdge.sort_key`` order. The time windows
-    exclude their bound; timestamps are integers, so
+    list are in ``TransferEdge.sort_key`` order, which holds every field.
+    The time windows exclude their bound; timestamps are integers, so
     ``edges_after(node, ts - 1)`` starts at ``ts``.
 
     ``nodes`` adds accounts beyond the edge endpoints, such as a source
@@ -272,14 +269,14 @@ def parse_records(records: Iterable[dict | str], chain_symbol: str,
 
 
 def load_graph(path: str, *, chain_symbol: str = "ETH") -> TransactionGraph:
-    """Ingest an edge file: JSON lines when its first character is ``{``,
-    CSV with a header row otherwise. Records are parsed as
-    ``parse_records`` does; identical records are kept, as the graph is a
-    multigraph. The file is UTF-8, a leading byte order mark dropped; a
-    record whose account, token or hash holds an undecodable byte is
-    skipped."""
+    """Ingest an edge file: JSON lines when its first non-whitespace
+    character is ``{``, CSV otherwise, with a header row: the first that
+    is not blank. Records are parsed as ``parse_records`` does; identical
+    records are kept, as the graph is a multigraph. The file is UTF-8, a
+    leading byte order mark dropped; a record whose account, token or hash
+    holds an undecodable byte is skipped."""
     with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
-        head = fh.read(1)
+        head = next((line.lstrip()[:1] for line in fh if line.strip()), "")
         fh.seek(0)
         if head == "{":
             records = (line for line in fh if line.strip())
@@ -287,6 +284,6 @@ def load_graph(path: str, *, chain_symbol: str = "ETH") -> TransactionGraph:
             # csv.DictReader's work in a quarter less time. A short row
             # lacks its last keys, so it is skipped for a missing field.
             rows = csv.reader(fh)
-            header = next(rows, [])
+            header = next((row for row in rows if "".join(row).strip()), [])
             records = (dict(zip(header, row)) for row in rows if row)
         return TransactionGraph(parse_records(records, chain_symbol, path))

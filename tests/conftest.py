@@ -90,6 +90,19 @@ def multihop_swap_rows(seed, n_nodes=20, n_edges=40, n_swaps=12):
     return rows
 
 
+def split_leg_rows(seed, share=0.4):
+    """``multihop_swap_rows(seed, 20, 60, 15)`` with a ``share`` of its
+    records each paid as 2-4 legs, as a transaction that emits several
+    Transfer events does: the legs tie on every field but the amount."""
+    rng = random.Random(seed)
+    rows = []
+    for src, tgt, amount, ts, token, h in multihop_swap_rows(seed, 20, 60, 15):
+        legs = rng.randint(2, 4) if rng.random() < share else 1
+        rows += [(src, tgt, amount * rng.uniform(0.1, 1.0), ts, token, h)
+                 for _ in range(legs)]
+    return rows
+
+
 def swap_bot_chain(k):
     """A bot funded in usdc that swaps usdc<->weth k times with a DEX, one
     hash per swap, then spends what it holds in three transfers."""

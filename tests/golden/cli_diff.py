@@ -12,6 +12,10 @@ temporary directory with relative paths:
 - ``trace`` runs every method in JSON and GraphML over those CSVs and
   over one JSON-lines swap file, plus ``--hub-cap``, ``--budget`` and
   ``--config`` runs;
+- ``trace`` reads a CSV and a JSON-lines file that each begin with a
+  blank line, and a CSV of transfers paid in several legs and a
+  row-shuffled copy of it, each into GraphML by the same command; that
+  pair of outputs must hold the same bytes;
 - ``compare`` runs over the cases, with and without flags, over a
   directory holding specs it must record as errors, over a spec with
   more targets than branches, and twice over a directory that its own
@@ -20,22 +24,25 @@ temporary directory with relative paths:
   a provider that fails after its first fetch, and each command's output
   path is refused when it is an existing directory, lies below a regular
   file or below a missing directory, ends in a separator, or is empty;
-- four calls name one file twice: ``compare`` with its spec file as
+- seven calls name one file twice: ``compare`` with its spec file as
   ``--out``, ``trace`` with its edge file or its ``--config`` file as
   ``--out``, and ``gen-case`` with one file as ``--out`` and
-  ``--edges-out``. The bytes of that file are read right after the call.
+  ``--edges-out``, each by one path, and the first, the second and the
+  last again through a hard link. The bytes of that file are read right
+  after the call.
 
 Only file providers are used, so no call reaches a network. The script
-compares every exit code, stderr line and file the calls leave, and the
-bytes of each file the four calls above name, with the ``runtime_s``
-values of stderr masked, prints each difference, and exits 1 if there
-is any.
+compares every exit code, stderr line and file the calls leave, the
+bytes of each file the seven calls above name, and whether the shuffled
+pair's outputs are equal, with the ``runtime_s`` values of stderr
+masked, prints each difference, and exits 1 if there is any.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -46,7 +53,7 @@ HERE = Path(__file__).resolve().parent
 THIS_SRC = HERE.parents[1] / "src"
 sys.path[:0] = [str(HERE.parent), str(THIS_SRC)]
 
-from conftest import multihop_swap_rows  # noqa: E402
+from conftest import multihop_swap_rows, split_leg_rows  # noqa: E402
 
 SEEDS = ("0", "7", "2")
 METHODS = ("ttr", "appr", "bfs", "poison", "haircut")
@@ -77,7 +84,13 @@ INPUTS = {"c1": ("c1.csv", "src"), "c2": ("c2.csv", "src"),
 KEPT = {"compare-out-is-spec": "own-spec.json",
         "trace-out-is-provider": "own-edges.jsonl",
         "trace-out-is-config": "own-cfg.json",
-        "gen-out-is-edges-out": "own-gen.csv"}
+        "gen-out-is-edges-out": "own-gen.csv",
+        "compare-out-links-spec": "link-spec.json",
+        "trace-out-links-provider": "link-edges.jsonl",
+        "gen-edges-out-links-out": "link-gen.json"}
+# Output files that must hold the same bytes: one command's trace of a
+# file and of its rows shuffled.
+SAME = ("out/legs.graphml", "out/legs-shuffled.graphml")
 
 
 def write_inputs(root: Path) -> None:
@@ -102,6 +115,20 @@ def write_inputs(root: Path) -> None:
     (root / "own-cfg.json").write_text(
         '{"source": "n00", "provider": "swaps.jsonl"}')
     (root / "own-gen.csv").write_text("kept\n")
+    for name, link in (("own-spec.json", "link-spec.json"),
+                       ("own-edges.jsonl", "link-edges.jsonl"),
+                       ("own-gen.csv", "link-gen.json")):
+        (root / link).write_bytes((root / name).read_bytes())
+        os.link(root / link, root / f"hard-{link}")
+    swaps = (root / "swaps.jsonl").read_text(encoding="utf-8")
+    (root / "blank.jsonl").write_text("\n" + swaps, encoding="utf-8")
+    header = "from,to,value,timeStamp,tokenSymbol,hash\n"
+    rows = [f"{s},{t},{a!r},{ts},{tok},{h}\n"
+            for s, t, a, ts, tok, h in split_leg_rows(5)]
+    (root / "blank.csv").write_text("\n" + header + "".join(rows))
+    (root / "legs.csv").write_text(header + "".join(rows))
+    random.Random(1).shuffle(rows)
+    (root / "legs-shuffled.csv").write_text(header + "".join(rows))
     (root / "cfg-bad-json.json").write_text("{source: a}")
     (root / "cfg-latin1.json").write_bytes(b'{"source": "\xff"}')
     (root / "cfg-list.json").write_text("[1, 2]")
@@ -163,6 +190,23 @@ def matrix() -> list[tuple[str, list[str], str]]:
                                  "--out", "own-cfg.json"]),
         ("gen-out-is-edges-out", ["gen-case", "--out", "own-gen.csv",
                                   "--edges-out", "own-gen.csv"]),
+        ("compare-out-links-spec", ["compare", "--cases", "link-spec.json",
+                                    "--out", "hard-link-spec.json"]),
+        ("trace-out-links-provider", ["trace", "--source", "n00",
+                                      "--provider", "link-edges.jsonl",
+                                      "--out", "hard-link-edges.jsonl"]),
+        ("gen-edges-out-links-out", ["gen-case", "--out", "link-gen.json",
+                                     "--edges-out", "hard-link-gen.json"]),
+        ("trace-blank-first-line-csv", swaps[:3] + [
+            "--provider", "blank.csv", "--out", "out/blank-csv.json"]),
+        ("trace-blank-first-line-jsonl", swaps[:3] + [
+            "--provider", "blank.jsonl", "--out", "out/blank-jsonl.json"]),
+        ("trace-legs", swaps[:3] + [
+            "--provider", "legs.csv", "--format", "graphml",
+            "--out", SAME[0]]),
+        ("trace-legs-shuffled", swaps[:3] + [
+            "--provider", "legs-shuffled.csv", "--format", "graphml",
+            "--out", SAME[1]]),
         ("err-trace-no-source", ["trace"]),
         ("err-trace-missing-provider", ["trace", "--source", "n00",
                                         "--provider", "nope.csv"]),
@@ -225,7 +269,8 @@ def matrix() -> list[tuple[str, list[str], str]]:
 def run_side(src: Path, seed: str) -> dict[tuple[str, str], str]:
     """Every observation of one run of the matrix, keyed by kind and
     name: each call's exit code and stderr, the bytes of each ``KEPT``
-    file right after its call, and each file left behind."""
+    file right after its call, whether the ``SAME`` files are equal, and
+    each file left behind."""
     seen: dict[tuple[str, str], str] = {}
     env = {"PATH": os.environ.get("PATH", ""), "PYTHONPATH": str(src),
            "PYTHONHASHSEED": seed}
@@ -244,6 +289,9 @@ def run_side(src: Path, seed: str) -> dict[tuple[str, str], str]:
                 seen[("input", f"{label} {KEPT[label]}")] = (
                     kept.read_text(encoding="utf-8", errors="replace")
                     if kept.exists() else "(deleted)")
+        pair = [(root / p).read_bytes() if (root / p).exists() else None
+                for p in SAME]
+        seen[("same", " ".join(SAME))] = str(pair[0] == pair[1])
         for path in sorted(set(root.rglob("*")) - before):
             if path.is_file():
                 seen[("file", str(path.relative_to(root)))] = path.read_text(
@@ -282,7 +330,7 @@ def main(argv=None) -> int:
         for run, value in values.items():
             if value is None:
                 shown = "absent"
-            elif kind in ("exit", "stderr"):
+            elif kind in ("exit", "stderr", "same"):
                 shown = repr(value.strip())
             elif value == reference.get((kind, name)):
                 shown = "same as this@0"

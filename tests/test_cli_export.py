@@ -2,15 +2,18 @@ import json
 import logging
 import os
 import re
+import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import networkx as nx
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (FIG_SWAP_ROWS, build_graph, random_txgraph,
-                      tagged_edges)
+                      split_leg_rows, tagged_edges)
 from fundtrace.cli import (EXIT_CONFIG, EXIT_NOT_CONVERGED, EXIT_OK,
                            EXIT_PROVIDER, main)
 from fundtrace.export import (graph_from_json, graph_to_json, read_json,
@@ -382,10 +385,15 @@ class TestTraceCommand:
         (tmp_path / "x").mkdir()
         alias = str(tmp_path / "x" / ".." / "e.jsonl")
         named = swap_rows_jsonl(tmp_path / "r.json.provenance.json")
-        # --out itself, the same file by another name, and an --out whose
-        # provenance file is the edge file.
+        os.link(edges, tmp_path / "h.jsonl")
+        os.link(named, tmp_path / "h.json.provenance.json")
+        # --out itself, the same file by another name or by a hard link,
+        # and an --out whose provenance file is the edge file or a hard
+        # link to it.
         for provider, out in ((edges, edges), (edges, alias),
-                              (named, str(tmp_path / "r.json"))):
+                              (edges, str(tmp_path / "h.jsonl")),
+                              (named, str(tmp_path / "r.json")),
+                              (named, str(tmp_path / "h.json"))):
             kept = Path(provider).read_bytes()
             res = self.run(["trace", "--source", "a", "--provider", provider,
                             "--out", out])
@@ -394,6 +402,7 @@ class TestTraceCommand:
             assert Path(provider).read_bytes() == kept
         assert calls == []
         assert not (tmp_path / "r.json").exists()
+        assert not (tmp_path / "h.json").exists()
 
     def test_out_over_the_config_file_is_refused(self, tmp_path, monkeypatch):
         import fundtrace.cli as cli_mod
@@ -402,10 +411,17 @@ class TestTraceCommand:
         monkeypatch.setattr(cli_mod, "_make_provider",
                             lambda *args: calls.append("provider"))
         edges = swap_rows_jsonl(tmp_path / "e.jsonl")
-        for name, out in (("cfg.json", "cfg.json"),
-                          ("o.json.provenance.json", "o.json")):
+        # The config as --out and as <out>.provenance.json, by its own
+        # name and by a hard link.
+        for name, out, link in (("cfg.json", "cfg.json", None),
+                                ("o.json.provenance.json", "o.json", None),
+                                ("cfg.json", "h.json", "h.json"),
+                                ("o.json.provenance.json", "k.json",
+                                 "k.json.provenance.json")):
             cfg = tmp_path / name
             cfg.write_text(json.dumps({"source": "a", "provider": edges}))
+            if link:
+                os.link(cfg, tmp_path / link)
             kept = cfg.read_bytes()
             res = self.run(["trace", "--config", str(cfg),
                             "--out", str(tmp_path / out)])
@@ -414,6 +430,7 @@ class TestTraceCommand:
             assert cfg.read_bytes() == kept
         assert calls == []
         assert not (tmp_path / "o.json").exists()
+        assert not (tmp_path / "k.json").exists()
 
     def test_config_file_unreadable_is_a_config_error(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -669,7 +686,9 @@ class TestCompareAndGen:
                          "--out", str(spec)]).exit_code == EXIT_OK
         kept = spec.read_bytes()
         (tmp_path / "x").mkdir()
-        for out in (spec, tmp_path / "x" / ".." / "c.json"):
+        os.link(spec, tmp_path / "h.json")
+        for out in (spec, tmp_path / "x" / ".." / "c.json",
+                    tmp_path / "h.json"):
             res = self.run(["compare", "--cases", str(spec),
                             "--out", str(out)])
             assert config_error_message(res) == f"no case specs under {spec}"
@@ -695,6 +714,12 @@ class TestCompareAndGen:
         res = self.run(["gen-case", "--out", str(spec),
                         "--edges-out", str(spec)])
         assert res.exit_code == EXIT_CONFIG
+        assert spec.read_text() == "kept\n"
+        os.link(spec, tmp_path / "h.csv")
+        res = self.run(["gen-case", "--out", str(spec),
+                        "--edges-out", str(tmp_path / "h.csv")])
+        assert config_error_message(res) == (
+            f"--out and --edges-out are one file: {spec}")
         assert spec.read_text() == "kept\n"
         assert generated == []
 
@@ -884,3 +909,22 @@ def test_write_trace_matches_the_inline_writer(tmp_path, method, fmt):
     for suffix in ("", ".provenance.json"):
         assert ((tmp_path / f"got{suffix}").read_bytes()
                 == (tmp_path / f"want{suffix}").read_bytes())
+
+
+@given(seed=st.integers(0, 10_000), order=st.randoms(use_true_random=False),
+       hub_cap=st.sampled_from([None, 3]),
+       fmt=st.sampled_from(["json", "graphml"]))
+@settings(max_examples=30, deadline=None)
+def test_trace_bytes_do_not_depend_on_row_order(seed, order, hub_cap, fmt):
+    rows = split_leg_rows(seed)
+    written = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for n, batch in enumerate((rows, order.sample(rows, len(rows)))):
+            graph = build_graph(batch)
+            result = run_method(sorted(graph.nodes)[0], GraphProvider(graph),
+                                RunConfig(hub_cap=hub_cap))
+            path = Path(tmp, f"{n}.{fmt}")
+            write_trace(str(path), result, fmt, result.provenance)
+            written.append((path.read_bytes(),
+                            Path(f"{path}.provenance.json").read_bytes()))
+    assert written[0] == written[1]

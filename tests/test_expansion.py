@@ -1,4 +1,6 @@
 import math
+from itertools import permutations
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -200,6 +202,21 @@ def test_hub_cap_recorded():
     incident = sorted(g.incident_edges("hub"), key=TransferEdge.sort_key)
     assert cache.expand("hub").edges == incident[:10]
     assert cache.hub_cap_hits == ["hub"]
+
+
+def test_hub_cap_cut_ignores_provider_order():
+    # Four legs of one transfer tie on every field but the amount.
+    funding = TransferEdge("s", "hub", 10.0, 1, "T", "h0")
+    legs = [TransferEdge("hub", "t", amount, 5, "T", "h1")
+            for amount in (4.0, 1.0, 3.0, 2.0)]
+    cuts = set()
+    for order in permutations([funding, *legs]):
+        provider = SimpleNamespace(fetch_edges=lambda account: list(order))
+        cache = _EdgeCache(provider, hub_cap=3)
+        cuts.add(tuple(e.amount for e in cache.expand("hub").edges))
+        assert cache.hub_cap_hits == ["hub"]
+    # The funding edge and the two smallest legs, whatever the order.
+    assert cuts == {(10.0, 1.0, 2.0)}
 
 
 def test_hub_expands_in_bounded_time():

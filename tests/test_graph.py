@@ -163,7 +163,7 @@ def test_csv_and_jsonl_ingestion_agree(tmp_path):
     g1 = load_graph(str(csv_path))
     g2 = load_graph(str(jsonl_path))
     assert len(g1.edges) == 2
-    assert [e.key() for e in g1.edges] == [e.key() for e in g2.edges]
+    assert [e.sort_key() for e in g1.edges] == [e.sort_key() for e in g2.edges]
 
 
 def test_byte_order_mark_is_not_data(tmp_path):
@@ -179,8 +179,41 @@ def test_byte_order_mark_is_not_data(tmp_path):
         assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
         g = load_graph(str(marked))
         assert len(g.edges) == 2, name
-        assert ([e.key() for e in g.edges]
-                == [e.key() for e in load_graph(str(plain)).edges])
+        assert ([e.sort_key() for e in g.edges]
+                == [e.sort_key() for e in load_graph(str(plain)).edges])
+
+
+EDGE_TEXTS = {
+    "edges.csv": ("from,to,value,timeStamp,tokenSymbol,hash\n"
+                  "a,b,10,5,T1,h1\nb,c,4,7,T1,h2\n"),
+    "edges.jsonl": (
+        '{"from":"a","to":"b","value":"10","timeStamp":"5","tokenSymbol":"T1","hash":"h1"}\n'
+        '{"from":"b","to":"c","value":"4","timeStamp":"7","tokenSymbol":"T1","hash":"h2"}\n')}
+
+
+def assert_lead_is_ignored(tmp_path, name, lead):
+    plain, led = tmp_path / name, tmp_path / f"led-{name}"
+    plain.write_text(EDGE_TEXTS[name])
+    led.write_text(lead + EDGE_TEXTS[name])
+    g = load_graph(str(led))
+    assert len(g.edges) == 2
+    assert ([e.sort_key() for e in g.edges]
+            == [e.sort_key() for e in load_graph(str(plain)).edges])
+
+
+@pytest.mark.parametrize("name", EDGE_TEXTS)
+@pytest.mark.parametrize("lead", ["\n", "\n\n", " \t\n", "\r\n"],
+                         ids=["lf", "lf-lf", "blanks-lf", "crlf"])
+def test_leading_blank_lines_are_skipped(tmp_path, caplog, name, lead):
+    caplog.set_level(logging.WARNING, logger="fundtrace")
+    assert_lead_is_ignored(tmp_path, name, lead)
+    assert caplog.records == []
+
+
+def test_jsonl_may_start_with_spaces(tmp_path, caplog):
+    caplog.set_level(logging.WARNING, logger="fundtrace")
+    assert_lead_is_ignored(tmp_path, "edges.jsonl", "  ")
+    assert caplog.records == []
 
 
 def test_missing_or_null_field_skips_record(tmp_path, caplog):

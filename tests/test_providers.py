@@ -274,7 +274,7 @@ class TestHttpProvider:
         second = cold.fetch_edges("a")
         assert cold_session.requests == []
         assert cold.calls == 0
-        assert [e.key() for e in second] == [e.key() for e in first]
+        assert [e.sort_key() for e in second] == [e.sort_key() for e in first]
         assert len(session.requests) == calls_after_first
 
     def test_cache_files_are_canonical_json(self, tmp_path):
