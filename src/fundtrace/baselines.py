@@ -20,7 +20,6 @@ from .ttr import TraceParams
 class TaintResult:
     subgraph: TransactionGraph
     taint: dict[str, float]  # dirty value (proportional) or 1.0 (boolean)
-    held: dict[str, float] | None = None  # resting dirty value (haircut)
 
 
 def bfs_trace(graph: TransactionGraph, source: str, depth: int = 2
@@ -83,7 +82,6 @@ def haircut_trace(graph: TransactionGraph, source: str,
         return TaintResult(TransactionGraph([], (source,)), {source: 0.0})
     floor = cutoff_fraction * initial
     received: dict[str, float] = {source: initial}
-    held: dict[str, float] = {source: initial}
     edges_used: list[TransferEdge] = []
     # Parcels processed in chronological order; seq breaks heap ties.
     # Subsequent hops need a later timestamp, never an equal one, so the
@@ -96,13 +94,11 @@ def haircut_trace(graph: TransactionGraph, source: str,
         total = sum(e.amount for e in out)
         if total <= 0.0:
             continue  # dirty value rests at u
-        held[u] = held.get(u, 0.0) - value
         for e in out:
             share = value * e.amount / total
             if share <= 0.0:
                 continue
             received[e.tgt] = received.get(e.tgt, 0.0) + share
-            held[e.tgt] = held.get(e.tgt, 0.0) + share
             if share >= floor:
                 edges_used.append(e)
                 heapq.heappush(heap, (float(e.timestamp), seq, e.tgt, share))
@@ -111,7 +107,7 @@ def haircut_trace(graph: TransactionGraph, source: str,
     # Parcels reaching a node at different times rescan its out-edges;
     # keep each edge once (the graph puts them back in ``sort_key`` order).
     sub = TransactionGraph(dict.fromkeys(edges_used), (source,))
-    return TaintResult(sub, taint, held)
+    return TaintResult(sub, taint)
 
 
 def appr_rank(graph: TransactionGraph, source: str, alpha: float = 0.15,

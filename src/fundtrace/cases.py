@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 from .graph import TransactionGraph, TransferEdge
 
@@ -63,7 +63,6 @@ class PlantedCase:
     graph: TransactionGraph
     source: str
     targets: set[str]
-    swap_nodes: set[str] = field(default_factory=set)
 
 
 def generate_planted_case(spec: CaseSpec) -> PlantedCase:
@@ -85,7 +84,6 @@ def generate_planted_case(spec: CaseSpec) -> PlantedCase:
     targets = {f"tgt_{i}" for i in range(spec.target_count)}
     target_list = sorted(targets)
     dex = "dex_0"
-    swap_nodes: set[str] = set()
     path_nodes: list[str] = [source]
     # (node, earliest spend time) pairs for attaching outgoing noise
     spend_points: list[tuple[str, int]] = []
@@ -124,7 +122,6 @@ def generate_planted_case(spec: CaseSpec) -> PlantedCase:
                     edges.append(TransferEdge(dex, node, swapped, t_swap, out_token, hs))
                     token = out_token
                     amount = swapped
-                    swap_nodes.add(node)
                     t_next = t_swap
                 t = t_next + rng.randint(5, 50)
             prev = node
@@ -171,7 +168,7 @@ def generate_planted_case(spec: CaseSpec) -> PlantedCase:
                                       new_hash()))
 
     return PlantedCase(spec=spec, graph=TransactionGraph(edges), source=source,
-                       targets=targets, swap_nodes=swap_nodes)
+                       targets=targets)
 
 
 def case_records(case: PlantedCase) -> list[dict]:

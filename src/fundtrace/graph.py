@@ -63,14 +63,12 @@ class TransactionGraph:
 
     def __init__(self, edges: Iterable[TransferEdge], nodes: Iterable[str] = ()):
         self.edges: list[TransferEdge] = sorted(edges, key=TransferEdge.sort_key)
-        self.nodes: set[str] = set()
         self._out: dict[str, list[TransferEdge]] = {}
         self._in: dict[str, list[TransferEdge]] = {}
         for e in self.edges:
-            self.nodes.add(e.src)
-            self.nodes.add(e.tgt)
             self._out.setdefault(e.src, []).append(e)
             self._in.setdefault(e.tgt, []).append(e)
+        self.nodes: set[str] = self._out.keys() | self._in.keys()
         self.nodes.update(nodes)
         self._counter: dict[str, dict[TransferEdge, frozenset[str]]] = {}
         # ttr.redirect_set results, keyed by (node, edge, direction).
@@ -271,10 +269,12 @@ def parse_records(records: Iterable[dict | str], chain_symbol: str,
 def load_graph(path: str, *, chain_symbol: str = "ETH") -> TransactionGraph:
     """Ingest an edge file: JSON lines when its first non-whitespace
     character is ``{``, CSV otherwise, with a header row: the first that
-    is not blank. Records are parsed as ``parse_records`` does; identical
-    records are kept, as the graph is a multigraph. The file is UTF-8, a
-    leading byte order mark dropped; a record whose account, token or hash
-    holds an undecodable byte is skipped."""
+    is not blank, its cells trimmed. A blank line, or a CSV row of only
+    spaces and commas, is not a record. Records are parsed as
+    ``parse_records`` does; identical records are kept, as the graph is a
+    multigraph. The file is UTF-8, a leading byte order mark dropped; a
+    record whose account, token or hash holds an undecodable byte is
+    skipped."""
     with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
         head = next((line.lstrip()[:1] for line in fh if line.strip()), "")
         fh.seek(0)
@@ -283,7 +283,7 @@ def load_graph(path: str, *, chain_symbol: str = "ETH") -> TransactionGraph:
         else:
             # csv.DictReader's work in a quarter less time. A short row
             # lacks its last keys, so it is skipped for a missing field.
-            rows = csv.reader(fh)
-            header = next((row for row in rows if "".join(row).strip()), [])
-            records = (dict(zip(header, row)) for row in rows if row)
+            rows = (row for row in csv.reader(fh) if "".join(row).strip())
+            header = [cell.strip() for cell in next(rows, [])]
+            records = (dict(zip(header, row)) for row in rows)
         return TransactionGraph(parse_records(records, chain_symbol, path))

@@ -13,13 +13,9 @@ def recall(result_nodes: set[str], targets: set[str]) -> float:
     return len(result_nodes & targets) / len(targets)
 
 
-def tracing_depth(subgraph: TransactionGraph, source: str
-                  ) -> tuple[int, set[str]]:
-    """Max shortest-hop distance from source, edges undirected.
-
-    Returns (depth, unreachable nodes). Nodes disconnected from the
-    source inside the result are excluded from the max and reported.
-    """
+def tracing_depth(subgraph: TransactionGraph, source: str) -> int:
+    """Max shortest-hop distance from source, edges undirected. Nodes
+    disconnected from the source inside the result are left out."""
     if source not in subgraph.nodes:
         raise ValueError(f"source {source!r} not in subgraph")
     neighbors: dict[str, set[str]] = {u: set() for u in subgraph.nodes}
@@ -34,8 +30,7 @@ def tracing_depth(subgraph: TransactionGraph, source: str
             if v not in dist:
                 dist[v] = dist[u] + 1
                 queue.append(v)
-    unreachable = subgraph.nodes - dist.keys()
-    return max(dist.values()), unreachable
+    return max(dist.values())
 
 
 def topn_recall(rank: dict[str, float], targets: set[str], n: int) -> float:

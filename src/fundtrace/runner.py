@@ -111,12 +111,11 @@ def run_method(source: str, provider: EdgeProvider, config: RunConfig
 
 def evaluate(result: MethodResult, source: str, targets: set[str]) -> dict:
     out_nodes = result.output_nodes
-    depth, _ = metrics.tracing_depth(result.output_graph(), source)
     return {
         "method": result.method,
         "recall": metrics.recall(out_nodes, targets),
         "nodes": len(out_nodes),
-        "depth": depth,
+        "depth": metrics.tracing_depth(result.output_graph(), source),
     }
 
 

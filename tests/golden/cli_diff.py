@@ -16,6 +16,10 @@ temporary directory with relative paths:
   blank line, and a CSV of transfers paid in several legs and a
   row-shuffled copy of it, each into GraphML by the same command; that
   pair of outputs must hold the same bytes;
+- ``trace`` reads three copies of that CSV: one whose header line
+  starts with spaces, one whose header cells hold spaces and a tab, and
+  one with a whitespace-only row and a row of only commas between its
+  records;
 - ``compare`` runs over the cases, with and without flags, over a
   directory holding specs it must record as errors, over a spec with
   more targets than branches, and twice over a directory that its own
@@ -127,6 +131,12 @@ def write_inputs(root: Path) -> None:
             for s, t, a, ts, tok, h in split_leg_rows(5)]
     (root / "blank.csv").write_text("\n" + header + "".join(rows))
     (root / "legs.csv").write_text(header + "".join(rows))
+    (root / "spaced-line.csv").write_text("  " + header + "".join(rows))
+    (root / "spaced-cells.csv").write_text(
+        header.replace(",to,", ", to ,").replace(",hash", ",\thash ")
+        + "".join(rows))
+    (root / "blank-rows.csv").write_text(
+        header + "".join(rows[:5]) + "   \n,,,,,\n" + "".join(rows[5:]))
     random.Random(1).shuffle(rows)
     (root / "legs-shuffled.csv").write_text(header + "".join(rows))
     (root / "cfg-bad-json.json").write_text("{source: a}")
@@ -201,6 +211,12 @@ def matrix() -> list[tuple[str, list[str], str]]:
             "--provider", "blank.csv", "--out", "out/blank-csv.json"]),
         ("trace-blank-first-line-jsonl", swaps[:3] + [
             "--provider", "blank.jsonl", "--out", "out/blank-jsonl.json"]),
+        ("trace-spaced-header-line", swaps[:3] + [
+            "--provider", "spaced-line.csv", "--out", "out/spaced-line.json"]),
+        ("trace-spaced-header-cells", swaps[:3] + [
+            "--provider", "spaced-cells.csv", "--out", "out/spaced-cells.json"]),
+        ("trace-blank-rows", swaps[:3] + [
+            "--provider", "blank-rows.csv", "--out", "out/blank-rows.json"]),
         ("trace-legs", swaps[:3] + [
             "--provider", "legs.csv", "--format", "graphml",
             "--out", SAME[0]]),

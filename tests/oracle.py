@@ -89,6 +89,17 @@ def naive_push_once(edges, node, alpha, beta, rank, res):
     return dropped
 
 
+def fixed_point(edges, source, alpha, beta, tol=1e-14):
+    """The temporal PPR of ``source``: ``naive_push_once`` on every
+    account that holds residual, round after round, until the residual
+    total is below ``tol``. Returns the rank by account."""
+    rank, res = {}, {(source, NEG_INF, None): 1.0}
+    while sum(res.values()) >= tol:
+        for node in sorted({k[0] for k in res}):
+            naive_push_once(edges, node, alpha, beta, rank, res)
+    return rank
+
+
 def naive_poison(edges, source, depth):
     """Poison taint by brute walk over every (account, hops, arrival
     time) state, with no pruning: an edge is taken when hops < depth and

@@ -6,13 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (build_graph, multihop_swap_rows, random_txgraph,
-                      seeded_trace)
+from conftest import (build_graph, multihop_swap_rows, random_path_seed,
+                      random_txgraph, seeded_trace, swap_bot_chain)
+from fundtrace.cases import CaseSpec, generate_planted_case
 from fundtrace.expansion import (TERM_BUDGET, TERM_CONVERGED, _EdgeCache,
                                  pop, run_expansion)
 from fundtrace.graph import TransferEdge
 from fundtrace.providers import GraphProvider, ProviderError
 from fundtrace.ttr import ResidualLedger, TraceParams, local_push
+from oracle import fixed_point
 
 
 class FailingProvider:
@@ -301,6 +303,57 @@ def test_beta_one_dag_matches_forward_oracle():
         for node in set(want) | set(result.rank):
             assert result.rank.get(node, 0.0) == pytest.approx(
                 want.get(node, 0.0), abs=1e-7)
+
+
+def assert_certificate(graph, source, params):
+    """The error certificate against the fixed-point oracle: with p the
+    traced rank and r the residual left in the ledger, every account's
+    exact score lies in [p(u), p(u) + r], and sum(pi) - sum(p) <= r."""
+    result = run_expansion(source, GraphProvider(graph), params)
+    pi = fixed_point(graph.edges, source, params.alpha, params.beta)
+    p, r = result.rank, result.ledger.total()
+    for u in set(pi) | set(p):
+        assert p.get(u, 0.0) <= pi.get(u, 0.0) + 1e-12, u
+        assert pi.get(u, 0.0) <= p.get(u, 0.0) + r + 1e-12, u
+    assert sum(pi.values()) - sum(p.values()) <= r + 1e-12
+    return r
+
+
+@pytest.mark.parametrize("beta", [0.3, 0.7, 1.0])
+def test_certificate_on_random_and_multihop_graphs(beta):
+    params = TraceParams(beta=beta)
+    for seed in range(6):
+        source = random_path_seed(seed)
+        assert_certificate(random_txgraph(seed, swap_rate=0.3), source,
+                           params)
+        assert_certificate(build_graph(multihop_swap_rows(seed)), source,
+                           params)
+
+
+@pytest.mark.parametrize("k", [1, 4, 10])
+def test_certificate_on_swap_bot_chain(k):
+    graph, _ = swap_bot_chain(k)
+    assert_certificate(graph, "src", TraceParams())
+
+
+@pytest.mark.parametrize("i", [0, 1])
+def test_certificate_on_criterion_7_cases(i):
+    # The specs of the acceptance suite's first two planted cases.
+    case = generate_planted_case(CaseSpec(
+        seed=100 + i, layers=4 + i % 3, fan_out=3, swap_hop_probability=0.5,
+        noise_rate=2.0, hub_count=2, hub_spokes=150))
+    assert_certificate(case.graph, case.source, TraceParams())
+
+
+@pytest.mark.parametrize("budget", [5, 20])
+def test_certificate_on_budget_stopped_traces(budget):
+    stopped = 0
+    for seed in range(4):
+        r = assert_certificate(random_txgraph(seed, swap_rate=0.3),
+                               random_path_seed(seed),
+                               TraceParams(budget=budget))
+        stopped += r > 0.1
+    assert stopped  # the bound is checked where much mass is left
 
 
 POP_BOUND_SCRIPT = """

@@ -216,6 +216,46 @@ def test_jsonl_may_start_with_spaces(tmp_path, caplog):
     assert caplog.records == []
 
 
+@pytest.mark.parametrize("header", [
+    "  from,to,value,timeStamp,tokenSymbol,hash",
+    "from, to ,value,timeStamp,\ttokenSymbol ,hash"],
+    ids=["spaced-line", "spaced-cells"])
+def test_csv_header_cells_are_trimmed(tmp_path, caplog, header):
+    caplog.set_level(logging.WARNING, logger="fundtrace")
+    plain = EDGE_TEXTS["edges.csv"]
+    spaced = tmp_path / "spaced.csv"
+    spaced.write_text(header + plain[plain.index("\n"):])
+    assert ([e.sort_key() for e in load_graph(str(spaced)).edges]
+            == [e.sort_key() for e in build_graph(
+                [("a", "b", 10.0, 5, "T1", "h1"),
+                 ("b", "c", 4.0, 7, "T1", "h2")]).edges])
+    assert caplog.records == []
+
+
+def test_blank_csv_rows_are_skipped_like_blank_json_lines(tmp_path, caplog):
+    caplog.set_level(logging.WARNING, logger="fundtrace")
+    # A whitespace-only row and a row of only commas are not records, as
+    # a whitespace-only JSON line is not: the bad row after them is
+    # record 3 in both files.
+    csv_path = tmp_path / "blank.csv"
+    csv_path.write_text("from,to,value,timeStamp,tokenSymbol,hash\n"
+                        "a,b,10,5,T1,h1\n   \n,,,,,\n"
+                        "b,c,4,7,T1,h2\nc,,1,9,T1,h3\n")
+    jsonl_path = tmp_path / "blank.jsonl"
+    jsonl_path.write_text(
+        '{"from":"a","to":"b","value":"10","timeStamp":"5","tokenSymbol":"T1","hash":"h1"}\n'
+        '   \n'
+        '{"from":"b","to":"c","value":"4","timeStamp":"7","tokenSymbol":"T1","hash":"h2"}\n'
+        '{"from":"c","to":"","value":"1","timeStamp":"9","tokenSymbol":"T1","hash":"h3"}\n')
+    g = load_graph(str(csv_path))
+    assert len(g.edges) == 2
+    assert ([e.sort_key() for e in g.edges]
+            == [e.sort_key() for e in load_graph(str(jsonl_path)).edges])
+    assert skipped_warnings(caplog) == [
+        f"skipped record 3: empty account id (in {csv_path})",
+        f"skipped record 3: empty account id (in {jsonl_path})"]
+
+
 def test_missing_or_null_field_skips_record(tmp_path, caplog):
     caplog.set_level(logging.WARNING, logger="fundtrace")
     # A short CSV row reads as None; so does a JSON null.

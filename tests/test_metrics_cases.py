@@ -26,23 +26,20 @@ class TestMetrics:
             ("s", "a", 1.0, 1, "T", "h1"),
             ("a", "b", 1.0, 2, "T", "h2"),
         ])
-        depth, unreachable = tracing_depth(g, "s")
-        assert depth == 2
-        assert unreachable == set()
+        assert tracing_depth(g, "s") == 2
 
     def test_tracing_depth_undirected(self):
         # in-edge counts as a hop even against edge direction
         g = build_graph([("a", "s", 1.0, 1, "T", "h1")])
-        assert tracing_depth(g, "s") == (1, set())
+        assert tracing_depth(g, "s") == 1
 
     def test_tracing_depth_reports_unreachable(self):
         g = build_graph([
             ("s", "a", 1.0, 1, "T", "h1"),
             ("x", "y", 1.0, 2, "T", "h2"),
         ])
-        depth, unreachable = tracing_depth(g, "s")
-        assert depth == 1
-        assert unreachable == {"x", "y"}
+        # x and y are disconnected from s and stay out of the max
+        assert tracing_depth(g, "s") == 1
 
     def test_tracing_depth_missing_source_errors(self):
         g = build_graph([("a", "b", 1.0, 1, "T", "h1")])
@@ -78,7 +75,6 @@ class TestPlantedCases:
         b = generate_planted_case(CaseSpec(seed=9))
         assert case_records(a) == case_records(b)
         assert a.targets == b.targets
-        assert a.swap_nodes == b.swap_nodes
 
     def test_different_seeds_differ(self):
         a = generate_planted_case(CaseSpec(seed=1))
@@ -107,7 +103,9 @@ class TestPlantedCases:
         # every intermediate path node swapped at least once
         intermediates = {u for u in case.graph.nodes
                          if u.startswith("b") and "_n" in u}
-        assert intermediates and intermediates <= case.swap_nodes
+        swapped = {e.src for e in case.graph.edges if e.tgt == "dex_0"
+                   and case.graph.counter_tokens("dex_0", e)}
+        assert intermediates and intermediates <= swapped
         swap_edges = [e for e in case.graph.edges
                       if case.graph.pattern(e) is Pattern.SWAP]
         assert len(swap_edges) >= 2 * len(intermediates)
@@ -115,7 +113,8 @@ class TestPlantedCases:
     def test_swap_probability_zero_plants_none(self):
         case = generate_planted_case(CaseSpec(swap_hop_probability=0.0,
                                               seed=4))
-        assert case.swap_nodes == set()
+        assert all(case.graph.pattern(e) is not Pattern.SWAP
+                   for e in case.graph.edges)
 
     def test_records_round_trip_through_ingestion(self, caplog):
         caplog.set_level(logging.WARNING, logger="fundtrace")
