@@ -78,6 +78,7 @@ def run_method(source: str, provider: EdgeProvider, config: RunConfig
             "iterations": trace.iterations,
             "termination": trace.termination,
             "dropped_mass": trace.dropped_mass,
+            "residual_mass": trace.ledger.total(),
             "hub_cap_hits": trace.hub_cap_hits,
             "community_converged": comm.converged,
             "community_conductance": comm.conductance,

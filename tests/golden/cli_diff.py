@@ -20,6 +20,9 @@ temporary directory with relative paths:
   starts with spaces, one whose header cells hold spaces and a tab, and
   one with a whitespace-only row and a row of only commas between its
   records;
+- ``trace`` reads a JSON-lines file whose account, token and hash names
+  hold ``"``, ``\\``, ``<&>``, a non-ASCII and a non-BMP character,
+  into JSON and into GraphML, so both writers' escaping is compared;
 - ``compare`` runs over the cases, with and without flags, over a
   directory holding specs it must record as errors, over a spec with
   more targets than branches, and twice over a directory that its own
@@ -92,6 +95,12 @@ KEPT = {"compare-out-is-spec": "own-spec.json",
         "compare-out-links-spec": "link-spec.json",
         "trace-out-links-provider": "link-edges.jsonl",
         "gen-edges-out-links-out": "link-gen.json"}
+# Account, token and hash names that each writer must escape.
+ODD = '"\\<&>é\U0001F600'
+ODD_ROWS = [(f"s{ODD}", f"m{ODD}", 10.0, 1, f"usdc{ODD}", f"h1{ODD}"),
+            (f"m{ODD}", "dex", 10.0, 2, f"usdc{ODD}", f"h2{ODD}"),
+            ("dex", f"m{ODD}", 0.5, 2, f"weth{ODD}", f"h2{ODD}"),
+            (f"m{ODD}", f"t{ODD}", 0.5, 3, f"weth{ODD}", "h3")]
 # Output files that must hold the same bytes: one command's trace of a
 # file and of its rows shuffled.
 SAME = ("out/legs.graphml", "out/legs-shuffled.graphml")
@@ -124,6 +133,11 @@ def write_inputs(root: Path) -> None:
                        ("own-gen.csv", "link-gen.json")):
         (root / link).write_bytes((root / name).read_bytes())
         os.link(root / link, root / f"hard-{link}")
+    with open(root / "odd.jsonl", "w", encoding="utf-8") as fh:
+        for src, tgt, a, ts, tok, h in ODD_ROWS:
+            fh.write(json.dumps({"from": src, "to": tgt, "value": repr(a),
+                                 "timeStamp": str(ts), "tokenSymbol": tok,
+                                 "hash": h}) + "\n")
     swaps = (root / "swaps.jsonl").read_text(encoding="utf-8")
     (root / "blank.jsonl").write_text("\n" + swaps, encoding="utf-8")
     header = "from,to,value,timeStamp,tokenSymbol,hash\n"
@@ -179,6 +193,7 @@ def matrix() -> list[tuple[str, list[str], str]]:
                                       "--method", "haircut"]),
         ]
     swaps = ["trace", "--source", "n00", "--provider", "swaps.jsonl"]
+    odd = ["trace", "--source", ODD_ROWS[0][0], "--provider", "odd.jsonl"]
     calls += [
         ("compare", ["compare", "--cases", "cases", "--out", "report.json"]),
         ("compare-flags", ["compare", "--cases", "cases/c1.json", "--alpha",
@@ -223,6 +238,9 @@ def matrix() -> list[tuple[str, list[str], str]]:
         ("trace-legs-shuffled", swaps[:3] + [
             "--provider", "legs-shuffled.csv", "--format", "graphml",
             "--out", SAME[1]]),
+        ("trace-odd-names-json", odd + ["--out", "out/odd.json"]),
+        ("trace-odd-names-graphml", odd + [
+            "--format", "graphml", "--out", "out/odd.graphml"]),
         ("err-trace-no-source", ["trace"]),
         ("err-trace-missing-provider", ["trace", "--source", "n00",
                                         "--provider", "nope.csv"]),

@@ -16,7 +16,7 @@ from fundtrace.cases import CaseSpec, generate_planted_case
 from fundtrace.cli import main as cli_main
 from fundtrace.community import conductance, extract_community
 from fundtrace.expansion import run_expansion
-from fundtrace.export import (graph_from_json, graph_to_json, write_graphml)
+from fundtrace.export import read_json, write_graphml, write_json
 from fundtrace.metrics import topn_curve, topn_recall
 from fundtrace.providers import GraphProvider
 from fundtrace.runner import RunConfig, evaluate, run_method
@@ -297,8 +297,8 @@ def test_criterion_10_export_validity(tmp_path):
     assert set(back.nodes) == g.nodes
     assert back.number_of_edges() == len(g.edges)
 
-    payload = graph_to_json(g, rank={"n00": 0.5}, source="n00")
-    restored = graph_from_json(json.loads(json.dumps(payload)))
+    write_json(str(tmp_path / "g.json"), g, rank={"n00": 0.5}, source="n00")
+    restored = read_json(str(tmp_path / "g.json"))
 
     assert restored.nodes == g.nodes
     assert tagged_edges(restored) == tagged_edges(g)

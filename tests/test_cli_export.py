@@ -2,6 +2,8 @@ import json
 import logging
 import os
 import re
+import subprocess
+import sys
 import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -12,13 +14,13 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (FIG_SWAP_ROWS, build_graph, random_txgraph,
-                      split_leg_rows, tagged_edges)
+import fundtrace
+from conftest import (FIG_SWAP_ROWS, build_graph, multihop_swap_rows,
+                      random_txgraph, split_leg_rows, tagged_edges)
 from fundtrace.cli import (EXIT_CONFIG, EXIT_NOT_CONVERGED, EXIT_OK,
                            EXIT_PROVIDER, main)
-from fundtrace.export import (graph_from_json, graph_to_json, read_json,
-                              write_graphml, write_json, write_trace)
-from fundtrace.graph import Pattern, TransferEdge, load_graph
+from fundtrace.export import read_json, write_graphml, write_json, write_trace
+from fundtrace.graph import Pattern, TransactionGraph, TransferEdge, load_graph
 from fundtrace.providers import GraphProvider
 from fundtrace.runner import RunConfig, run_method
 
@@ -53,6 +55,27 @@ def unwritable_outs(tmp_path):
              "[Errno 20] Not a directory"),
             (str(tmp_path / "missing" / "r.json"),
              "[Errno 2] No such file or directory")]
+
+
+def _json_dump_reference(path, graph, *, rank=None, residuals=None,
+                         source=None, community=None, provenance=None):
+    """The JSON export as it was made before ``write_json`` wrote text:
+    the whole document as a dict, then ``json.dump``."""
+    rank, residuals = rank or {}, residuals or {}
+    doc = {
+        "nodes": {node: {"rank": float(rank.get(node, 0.0)),
+                         "residual": float(residuals.get(node, 0.0)),
+                         "is_source": node == source,
+                         "in_community": community is None or node in community}
+                  for node in sorted(graph.nodes)},
+        "edges": [{"src": e.src, "tgt": e.tgt, "amount": e.amount,
+                   "timestamp": e.timestamp, "token": e.token, "hash": e.hash,
+                   "pattern": graph.pattern(e).value} for e in graph.edges],
+        "provenance": provenance or {},
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=1)
+        fh.write("\n")
 
 
 def config_error_message(res):
@@ -94,10 +117,11 @@ class TestExport:
         assert len(swap_edges) == 2
         assert {d["hash"] for d in swap_edges} == {"h2"}
 
-    def test_json_round_trip_lossless(self):
+    def test_json_round_trip_lossless(self, tmp_path):
         g = random_txgraph(2, n_nodes=12, n_edges=30, swap_rate=0.3)
-        payload = graph_to_json(g, rank={"n00": 0.4}, source="n00")
-        back = graph_from_json(payload)
+        out = tmp_path / "g.json"
+        write_json(str(out), g, rank={"n00": 0.4}, source="n00")
+        back = read_json(str(out))
         assert back.nodes == g.nodes
         assert tagged_edges(back) == tagged_edges(g)
 
@@ -110,10 +134,12 @@ class TestExport:
         assert sum(1 for e in back.edges
                    if back.pattern(e) is Pattern.SWAP) == 2
 
-    def test_isolated_nodes_survive_json(self):
+    def test_isolated_nodes_survive_json(self, tmp_path):
         g = build_graph([("a", "b", 1.0, 1, "T", "h1")])
         g.nodes.add("lonely")
-        back = graph_from_json(graph_to_json(g))
+        out = tmp_path / "g.json"
+        write_json(str(out), g)
+        back = read_json(str(out))
         assert "lonely" in back.nodes
 
     def test_to_networkx_multiedges_kept(self, tmp_path):
@@ -156,6 +182,58 @@ class TestExport:
         assert ((tmp_path / "got.graphml").read_bytes()
                 == (tmp_path / "want.graphml").read_bytes())
 
+    @pytest.mark.parametrize("case", [
+        "random", "multihop", "escaped-names", "one-node", "no-nodes",
+        "int-amounts", "nested-provenance"])
+    def test_json_bytes_match_json_dump(self, tmp_path, case):
+        odd = '"\\<&>\t\né\U0001F600'
+        annotations = {}
+        if case in ("random", "multihop"):
+            graph = (random_txgraph(4, n_nodes=30, n_edges=120, swap_rate=0.3)
+                     if case == "random"
+                     else build_graph(multihop_swap_rows(3)))
+            result = run_method("n00", GraphProvider(graph), RunConfig())
+            residuals = {}
+            for node, _ts, _tok, value in result.trace.ledger.items():
+                residuals[node] = residuals.get(node, 0.0) + value
+            # The whole subgraph: the community leaves accounts out.
+            graph = result.subgraph
+            annotations = dict(rank=result.scores, residuals=residuals,
+                               source="n00",
+                               community=set(result.community.members),
+                               provenance={**result.provenance,
+                                           "config": {"format": "json"}})
+            assert any(graph.pattern(e) is Pattern.SWAP for e in graph.edges)
+            assert len(result.community.members) < len(graph.nodes)
+        elif case == "escaped-names":
+            graph = build_graph([
+                (f"a{odd}", f"b{odd}", 1.5, 3, f"T{odd}", f"h{odd}"),
+                (f"b{odd}", f"a{odd}", 2.0, 3, "U", f"h{odd}"),
+                (f"b{odd}", "c", 0.25, 4, "U", "h2")])
+            annotations = dict(rank={f"a{odd}": 0.5}, source=f"a{odd}",
+                               community={f"a{odd}", "c"},
+                               provenance={"source": f"a{odd}"})
+        elif case == "one-node":
+            graph = TransactionGraph([], ["solo"])
+            annotations = dict(source="solo")
+        elif case == "no-nodes":
+            graph = build_graph([])
+        elif case == "int-amounts":
+            graph = build_graph([("a", "b", 3, 1, "T", "h1"),
+                                 ("b", "c", 0, 2, "T", "h2")])
+            annotations = dict(rank={"a": float("nan"), "b": float("inf")},
+                               residuals={"c": float("-inf"), "b": 1e-17})
+        else:
+            graph = build_graph(FIG_SWAP_ROWS)
+            annotations = dict(source="a", provenance={
+                "config": {"alpha": 0.15, "format": "json", "hub_cap": None},
+                "hub_cap_hits": [], "flags": [True, False, None, 2, "x"],
+                "converged": True, "nested": {"empty": {}, "list": [[1], {}]}})
+        write_json(str(tmp_path / "got.json"), graph, **annotations)
+        _json_dump_reference(str(tmp_path / "want.json"), graph, **annotations)
+        assert ((tmp_path / "got.json").read_bytes()
+                == (tmp_path / "want.json").read_bytes())
+
 
 class TestTraceCommand:
     def run(self, args):
@@ -189,6 +267,33 @@ class TestTraceCommand:
             blobs.append(out.read_bytes()
                          + (tmp_path / "result.json.provenance.json").read_bytes())
         assert blobs[0] == blobs[1]
+
+    def test_residual_mass_is_the_ledger_total(self, tmp_path):
+        # A budget-stopped trace, so that much residual is left.
+        edges = tmp_path / "edges.jsonl"
+        edges.write_text("".join(
+            json.dumps({"from": s, "to": t, "value": repr(a),
+                        "timeStamp": str(ts), "tokenSymbol": tok,
+                        "hash": h}) + "\n"
+            for s, t, a, ts, tok, h in multihop_swap_rows(3, 12, 30, 20)))
+        result = run_method("n00", GraphProvider(load_graph(str(edges))),
+                            RunConfig(budget=5))
+        assert result.trace.ledger.total() > 0.1
+        src = str(Path(fundtrace.__file__).resolve().parents[1])
+        written = []
+        for hash_seed in ("0", "7"):
+            out = tmp_path / f"r{hash_seed}.json"
+            proc = subprocess.run(
+                [sys.executable, "-c", "from fundtrace.cli import main; main()",
+                 "trace", "--source", "n00", "--provider", str(edges),
+                 "--budget", "5", "--out", str(out)],
+                env={"PYTHONPATH": src, "PYTHONHASHSEED": hash_seed},
+                capture_output=True, text=True, timeout=120)
+            assert proc.returncode in (EXIT_OK, EXIT_NOT_CONVERGED), proc.stderr
+            written.append(Path(f"{out}.provenance.json").read_bytes())
+            assert (json.loads(written[-1])["residual_mass"]
+                    == result.trace.ledger.total())
+        assert written[0] == written[1]
 
     def test_trace_graphml_output(self, tmp_path):
         edges = swap_rows_jsonl(tmp_path / "edges.jsonl")
