@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .graph import TransactionGraph, TransferEdge
-from .ttr import TraceParams
+from .ttr import TraceParams, left_sum
 
 
 @dataclass
@@ -77,7 +77,7 @@ def haircut_trace(graph: TransactionGraph, source: str,
     initial dirty value stops propagating."""
     if not 0.0 < cutoff_fraction <= 1.0:
         raise ValueError("cutoff_fraction must be in (0,1]")
-    initial = sum(e.amount for e in graph.out_edges(source))
+    initial = left_sum(e.amount for e in graph.out_edges(source))
     if initial <= 0.0:
         return TaintResult(TransactionGraph([], (source,)), {source: 0.0})
     floor = cutoff_fraction * initial
@@ -91,7 +91,7 @@ def haircut_trace(graph: TransactionGraph, source: str,
     while heap:
         since, _, u, value = heapq.heappop(heap)
         out = graph.edges_after(u, since)
-        total = sum(e.amount for e in out)
+        total = left_sum(e.amount for e in out)
         if total <= 0.0:
             continue  # dirty value rests at u
         for e in out:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph import TransactionGraph
-from .ttr import TraceParams
+from .ttr import TraceParams, left_sum
 
 
 @dataclass
@@ -38,12 +38,12 @@ def conductance(members: set[str], graph: TransactionGraph,
                 rank: dict[str, float]) -> float:
     if not members:
         raise ValueError("empty community")
-    interior = sum(rank.get(u, 0.0) for u in members)
+    interior = left_sum(rank.get(u, 0.0) for u in members)
     if interior <= 0.0:
         raise ValueError("community has zero rank mass")
     # Summed in name order: set order varies with PYTHONHASHSEED.
-    return sum(rank.get(v, 0.0)
-               for v in sorted(boundary(members, graph))) / interior
+    return left_sum(rank.get(v, 0.0)
+                    for v in sorted(boundary(members, graph))) / interior
 
 
 def extract_community(graph: TransactionGraph, rank: dict[str, float],
@@ -60,7 +60,7 @@ def extract_community(graph: TransactionGraph, rank: dict[str, float],
     # Boundary nodes counted once each regardless of in-edge multiplicity.
     bound: set[str] = {e.tgt for e in graph.out_edges(source)
                        if e.tgt != source}
-    bound_mass = sum(rank.get(v, 0.0) for v in sorted(bound))
+    bound_mass = left_sum(rank.get(v, 0.0) for v in sorted(bound))
     # Boundary nodes holding rank: at zero the mass is exactly zero,
     # whatever rounding the running subtraction left behind.
     ranked = sum(rank.get(v, 0.0) > 0.0 for v in bound)

@@ -2,11 +2,14 @@
 highest per-node residual falls below epsilon.
 
 Each iteration pops the node with the largest residual, fetches its
-incident edges (once per account) and runs one local push over them
-alone. The result subgraph is built once, from the merged fetches, when
-the loop ends. The pop count is bounded by 1/(epsilon*alpha): every pop
-converts at least alpha*epsilon mass into rank and total mass never
-grows.
+incident edges (once per account) and runs one local push, which reads
+that account's edges alone. Over a ``GraphProvider`` the push runs on
+the provider's own graph, so the windows, swap tags and redirect
+closures it keeps there serve every later push and trace over that
+provider. The result subgraph is built once, from the merged fetches,
+when the loop ends. The pop count is bounded by 1/(epsilon*alpha):
+every pop converts at least alpha*epsilon mass into rank and total mass
+never grows.
 """
 from __future__ import annotations
 
@@ -14,8 +17,9 @@ import math
 from dataclasses import dataclass, field
 
 from .graph import TransactionGraph, TransferEdge
-from .providers import EdgeProvider
-from .ttr import ANY_TOKEN, SEED_TS, ResidualLedger, TraceParams, local_push
+from .providers import EdgeProvider, GraphProvider
+from .ttr import (ANY_TOKEN, SEED_TS, ResidualLedger, TraceParams, left_sum,
+                  local_push)
 
 TERM_CONVERGED = "residuals-below-epsilon"
 TERM_BUDGET = "budget-exhausted"
@@ -43,8 +47,15 @@ def pop(ledger: ResidualLedger, epsilon: float) -> str | None:
 
 
 class _EdgeCache:
-    """Fetches each account once into a graph of its own incident edges,
-    and merges edge multisets across accounts for the result subgraph.
+    """Fetches each account once, gives the graph its push runs on, and
+    merges edge multisets across accounts for the result subgraph.
+
+    A push reads only the pushing account's adjacency. A
+    ``GraphProvider``'s graph holds there the very edges a fetch returns,
+    in the same ``sort_key`` order, so an account that is not hub-capped
+    pushes on that graph, and the memos a push fills there outlive the
+    trace. A hub-capped account, or one from any other provider, pushes
+    on a graph of its (capped) fetched edges.
 
     An edge incident to two expanded accounts is returned by both
     fetches; merging keeps, per identical record, the maximum
@@ -60,7 +71,8 @@ class _EdgeCache:
         self.hub_cap_hits: list[str] = []
 
     def expand(self, account: str) -> TransactionGraph:
-        """The graph of the account's (hub-capped) incident edges."""
+        """A graph whose adjacency of the account holds exactly its
+        (hub-capped) incident edges."""
         graph = self._graphs.get(account)
         if graph is not None:
             return graph
@@ -68,9 +80,14 @@ class _EdgeCache:
         if self.hub_cap is not None and len(edges) > self.hub_cap:
             edges = sorted(edges, key=TransferEdge.sort_key)[: self.hub_cap]
             self.hub_cap_hits.append(account)
-        graph = self._graphs[account] = TransactionGraph(edges)
+            graph = TransactionGraph(edges)
+        elif isinstance(self.provider, GraphProvider):
+            graph = self.provider.graph
+        else:
+            graph = TransactionGraph(edges)
+        self._graphs[account] = graph
         copies: dict[tuple, list[TransferEdge]] = {}
-        for e in graph.edges:
+        for e in edges:
             copies.setdefault(e.sort_key(), []).append(e)
         for key, group in copies.items():
             if len(group) > len(self._edges.get(key, ())):
@@ -114,7 +131,7 @@ def run_expansion(source: str, provider: EdgeProvider, params: TraceParams
             raise RuntimeError(
                 f"pop count {iterations} exceeded 1/(eps*alpha) bound {pop_bound}")
 
-    mass = sum(rank.values()) + ledger.total() + ledger.dropped
+    mass = left_sum(rank.values()) + ledger.total() + ledger.dropped
     if abs(mass - 1.0) > MASS_TOLERANCE:
         raise RuntimeError(
             f"mass identity off by {mass - 1.0:.3e}: rank + residual + "

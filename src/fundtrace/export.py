@@ -51,8 +51,9 @@ def _node_attrs(graph: TransactionGraph, rank, residuals, source, community
 
 
 def _swap_edges(graph: TransactionGraph) -> set[TransferEdge]:
-    """The edges whose ``graph.pattern`` is Swap, decided for the whole
-    graph in one pass: an edge is a Swap leg only at its own endpoints."""
+    """The edges that are a Swap leg at either endpoint, decided for the
+    whole graph in one pass: an edge is a Swap leg only at its own
+    endpoints."""
     return set().union(*map(graph.swap_legs, graph.nodes))
 
 

@@ -101,13 +101,6 @@ class TransactionGraph:
         when the edge is a transfer leg there."""
         return self.swap_legs(node).get(edge, frozenset())
 
-    def pattern(self, edge: TransferEdge) -> Pattern:
-        """Swap when the edge is a Swap leg at either endpoint."""
-        if (self.counter_tokens(edge.src, edge)
-                or self.counter_tokens(edge.tgt, edge)):
-            return Pattern.SWAP
-        return Pattern.XFER
-
     def edges_after(self, node: str, bound: float) -> list[TransferEdge]:
         """Outgoing edges of node later than the bound timestamp. The
         bound may be -inf (all edges match)."""
@@ -185,11 +178,14 @@ def classify_patterns(node: str, edges: Sequence[TransferEdge]
         if e.tgt == node:
             in_tokens.setdefault(e.hash, set()).add(e.token)
     tags: dict[TransferEdge, frozenset[str]] = {}
+    # One frozenset per distinct token set: a graph keeps these tags.
+    shared: dict[frozenset[str], frozenset[str]] = {}
     for e in edges:
         opposite = out_tokens if e.tgt == node else in_tokens
         counter = opposite.get(e.hash, set()) - {e.token}
         if counter:
-            tags[e] = frozenset(counter)
+            counter = frozenset(counter)
+            tags[e] = shared.setdefault(counter, counter)
     return tags
 
 

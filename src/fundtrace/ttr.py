@@ -16,8 +16,10 @@ O(entries * window): see ``local_push``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import pairwise
-from typing import Iterator, Sequence
+from operator import add
+from typing import Iterable, Iterator, Sequence
 
 from .graph import TransactionGraph, TransferEdge
 
@@ -25,6 +27,15 @@ from .graph import TransactionGraph, TransferEdge
 SEED_TS = float("-inf")
 # Wildcard token on the seed key.
 ANY_TOKEN = None
+
+
+def left_sum(values: Iterable[float]) -> float:
+    """The sum of ``values``, added left to right from 0, as ``sum()``
+    adds them up to Python 3.11. From 3.12, ``sum()`` over floats
+    compensates its rounding, so the same values can sum to a different
+    last bit. The package adds floats up here, so a result holds the
+    same bytes on every supported Python."""
+    return reduce(add, values, 0)
 
 
 @dataclass(frozen=True)
@@ -73,9 +84,6 @@ class ResidualLedger:
         keys[(ts, token)] = keys.get((ts, token), 0.0) + value
         self._totals[node] = self._totals.get(node, 0.0) + value
 
-    def node_total(self, node: str) -> float:
-        return self._totals.get(node, 0.0)
-
     def clear_node(self, node: str) -> dict[tuple, float]:
         """Remove and return all entries of a node."""
         snapshot = self._entries.pop(node, {})
@@ -83,7 +91,7 @@ class ResidualLedger:
         return snapshot
 
     def total(self) -> float:
-        return sum(self._totals.values())
+        return left_sum(self._totals.values())
 
     def max_node(self) -> tuple[str, float] | None:
         """Node with the highest total, ties broken lexicographically."""
@@ -180,7 +188,7 @@ def local_push(node: str, graph: TransactionGraph, params: TraceParams,
     snapshot = ledger.clear_node(node)
     if not snapshot:
         return
-    total = sum(snapshot.values())
+    total = left_sum(snapshot.values())
     rank[node] = rank.get(node, 0.0) + alpha * total
 
     for direction, gamma in (("out", beta), ("in", 1.0 - beta)):

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from fundtrace.graph import TransactionGraph, TransferEdge
+from fundtrace.graph import Pattern, TransactionGraph, TransferEdge
 from fundtrace.ttr import ANY_TOKEN, SEED_TS, ResidualLedger
+from oracle import naive_counter_tokens
 
 
 def build_graph(rows):
@@ -119,9 +120,18 @@ def swap_bot_chain(k):
     return graph, first_swap
 
 
+def pattern(graph, edge):
+    """``edge``'s pattern by the oracle's brute scan of ``graph.edges``:
+    Swap when it is exchanged against another token at either endpoint."""
+    if any(naive_counter_tokens(u, edge, graph.edges)
+           for u in (edge.src, edge.tgt)):
+        return Pattern.SWAP
+    return Pattern.XFER
+
+
 def tagged_edges(graph):
     """Each edge with its pattern and its counter tokens at both ends."""
-    return sorted((e.sort_key(), graph.pattern(e).value,
+    return sorted((e.sort_key(), pattern(graph, e).value,
                    tuple(sorted(graph.counter_tokens(e.src, e))),
                    tuple(sorted(graph.counter_tokens(e.tgt, e))))
                   for e in graph.edges)

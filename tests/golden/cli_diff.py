@@ -42,11 +42,14 @@ Only file providers are used, so no call reaches a network. The script
 compares every exit code, stderr line and file the calls leave, the
 bytes of each file the seven calls above name, and whether the shuffled
 pair's outputs are equal, with the ``runtime_s`` values of stderr
-masked, prints each difference, and exits 1 if there is any.
+masked, and exits 1 if any differs. For a file that differs it prints
+the count of lines removed and added against ``this@0``, and the first
+few of them.
 """
 from __future__ import annotations
 
 import argparse
+import difflib
 import json
 import os
 import random
@@ -63,6 +66,8 @@ sys.path[:0] = [str(HERE.parent), str(THIS_SRC)]
 from conftest import multihop_swap_rows, split_leg_rows  # noqa: E402
 
 SEEDS = ("0", "7", "2")
+# Differing lines shown per file.
+SHOWN = 6
 METHODS = ("ttr", "appr", "bfs", "poison", "haircut")
 RUNTIME = re.compile(r'(runtime_s"?[=:] ?)[0-9.eE+-]+')
 
@@ -333,14 +338,26 @@ def run_side(src: Path, seed: str) -> dict[tuple[str, str], str]:
     return seen
 
 
-def first_difference(want: str | None, got: str) -> str:
+def line_differences(want: str | None, got: str) -> str:
+    """How ``got`` differs from ``want``: the count of lines removed and
+    added, then the first ``SHOWN`` of them, each under the ``@@`` line
+    that says where its hunk lies."""
     if want is None:
         return "present"
-    want_lines, got_lines = want.splitlines(), got.splitlines()
-    for n, (a, b) in enumerate(zip(want_lines, got_lines), 1):
-        if a != b:
-            return f"line {n}: {b[:120]!r}"
-    return f"{len(got_lines)} lines, not {len(want_lines)}"
+    hunks = list(difflib.unified_diff(want.splitlines(), got.splitlines(),
+                                      lineterm="", n=0))[2:]
+    removed = sum(line[:1] == "-" for line in hunks)
+    added = sum(line[:1] == "+" for line in hunks)
+    shown, lines = 0, [f"{removed} lines removed, {added} added"]
+    for line in hunks:
+        if shown == SHOWN:
+            break
+        if line.startswith("@@"):
+            lines.append(f"    {line}")
+        else:
+            lines.append(f"    {line[0]}{line[1:121]!r}")
+            shown += 1
+    return "\n".join(lines)
 
 
 def main(argv=None) -> int:
@@ -369,7 +386,7 @@ def main(argv=None) -> int:
             elif value == reference.get((kind, name)):
                 shown = "same as this@0"
             else:
-                shown = first_difference(reference.get((kind, name)), value)
+                shown = line_differences(reference.get((kind, name)), value)
             print(f"  {run}: {shown}")
     calls = len(matrix())
     files = sum(kind == "file" for kind, _ in keys)

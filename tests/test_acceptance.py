@@ -9,7 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import (FIG_SWAP_ROWS, build_graph, multihop_swap_rows,
-                      random_txgraph, tagged_edges)
+                      random_txgraph, residuals, tagged_edges)
 from fundtrace import expansion
 from fundtrace.baselines import appr_rank
 from fundtrace.cases import CaseSpec, generate_planted_case
@@ -82,7 +82,7 @@ def test_criterion_03_depth_bound():
     def deepest(result):
         reached = {u for u in result.subgraph.nodes
                    if result.rank.get(u, 0.0) > 0
-                   or result.ledger.node_total(u) > 0}
+                   or sum(residuals(result.ledger, u).values()) > 0}
         return max(int(u[1:]) for u in reached)
 
     r1 = run_expansion("v00", GraphProvider(path),
@@ -107,7 +107,7 @@ def test_criterion_04_token_redirection():
     # the exchange counterparty gets exactly nothing through the
     # same-hash counter leg
     assert result.rank.get("dex", 0.0) == 0.0
-    assert result.ledger.node_total("dex") == 0.0
+    assert residuals(result.ledger, "dex") == {}
     _report(4, "exchanged residual routed to the two later spends; "
                "exact zero at the exchange counterparty")
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import fundtrace
 from conftest import (FIG_SWAP_ROWS, build_graph, multihop_swap_rows,
-                      random_txgraph, split_leg_rows, tagged_edges)
+                      pattern, random_txgraph, split_leg_rows, tagged_edges)
 from fundtrace.cli import (EXIT_CONFIG, EXIT_NOT_CONVERGED, EXIT_OK,
                            EXIT_PROVIDER, main)
 from fundtrace.export import read_json, write_graphml, write_json, write_trace
@@ -70,7 +70,7 @@ def _json_dump_reference(path, graph, *, rank=None, residuals=None,
                   for node in sorted(graph.nodes)},
         "edges": [{"src": e.src, "tgt": e.tgt, "amount": e.amount,
                    "timestamp": e.timestamp, "token": e.token, "hash": e.hash,
-                   "pattern": graph.pattern(e).value} for e in graph.edges],
+                   "pattern": pattern(graph, e).value} for e in graph.edges],
         "provenance": provenance or {},
     }
     with open(path, "w", encoding="utf-8") as fh:
@@ -132,7 +132,7 @@ class TestExport:
         back = read_json(str(out))
         assert back.nodes == g.nodes
         assert sum(1 for e in back.edges
-                   if back.pattern(e) is Pattern.SWAP) == 2
+                   if pattern(back, e) is Pattern.SWAP) == 2
 
     def test_isolated_nodes_survive_json(self, tmp_path):
         g = build_graph([("a", "b", 1.0, 1, "T", "h1")])
@@ -174,7 +174,7 @@ class TestExport:
         for e in sorted(g.edges, key=TransferEdge.sort_key):
             ref.add_edge(e.src, e.tgt, amount=e.amount,
                          timestamp=e.timestamp, token=e.token, hash=e.hash,
-                         pattern=g.pattern(e).value)
+                         pattern=pattern(g, e).value)
         nx.write_graphml(ref, str(tmp_path / "want.graphml"))
         write_graphml(str(tmp_path / "got.graphml"), g, rank=rank,
                       residuals=residuals, source=source,
@@ -203,7 +203,7 @@ class TestExport:
                                community=set(result.community.members),
                                provenance={**result.provenance,
                                            "config": {"format": "json"}})
-            assert any(graph.pattern(e) is Pattern.SWAP for e in graph.edges)
+            assert any(pattern(graph, e) is Pattern.SWAP for e in graph.edges)
             assert len(result.community.members) < len(graph.nodes)
         elif case == "escaped-names":
             graph = build_graph([

@@ -1,4 +1,5 @@
 import math
+import random
 from itertools import permutations
 from types import SimpleNamespace
 
@@ -7,12 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (build_graph, multihop_swap_rows, random_path_seed,
-                      random_txgraph, seeded_trace, swap_bot_chain)
+                      random_txgraph, residuals, seeded_trace,
+                      swap_bot_chain)
 from fundtrace.cases import CaseSpec, generate_planted_case
 from fundtrace.expansion import (TERM_BUDGET, TERM_CONVERGED, _EdgeCache,
                                  pop, run_expansion)
 from fundtrace.graph import TransferEdge
-from fundtrace.providers import GraphProvider, ProviderError
+from fundtrace.providers import FileProvider, GraphProvider, ProviderError
 from fundtrace.ttr import ResidualLedger, TraceParams, local_push
 from oracle import fixed_point
 
@@ -100,10 +102,11 @@ def test_path_depth_alpha_half():
     result = run_expansion("v00", GraphProvider(g), params)
     reached = {u for u in result.subgraph.nodes
                if result.rank.get(u, 0.0) > 0
-               or result.ledger.node_total(u) > 0}
+               or sum(residuals(result.ledger, u).values()) > 0}
     deepest = max(int(u[1:]) for u in reached)
     assert deepest == 3
-    assert result.ledger.node_total("v03") == pytest.approx(0.125)
+    assert sum(residuals(result.ledger, "v03").values()) == pytest.approx(
+        0.125)
     assert result.rank.get("v04", 0.0) == 0.0
 
 
@@ -113,7 +116,7 @@ def test_path_depth_default_parameters():
     result = run_expansion("v00", GraphProvider(g), params)
     reached = {u for u in result.subgraph.nodes
                if result.rank.get(u, 0.0) > 0
-               or result.ledger.node_total(u) > 0}
+               or sum(residuals(result.ledger, u).values()) > 0}
     deepest = max(int(u[1:]) for u in reached)
     assert deepest in (42, 43)
     bound = math.log(params.epsilon) / math.log(1 - params.alpha) + 1
@@ -137,7 +140,8 @@ def test_termination_residuals_below_epsilon():
     result = run_expansion(sorted(g.nodes)[0], GraphProvider(g), params)
     assert result.termination == TERM_CONVERGED
     for node in result.subgraph.nodes:
-        assert result.ledger.node_total(node) < params.epsilon
+        assert (sum(residuals(result.ledger, node).values())
+                < params.epsilon)
 
 
 def test_budget_exhaustion_partial_result():
@@ -418,3 +422,75 @@ def test_mass_identity_enforced_under_optimize():
                           text=True, timeout=60)
     assert proc.returncode == 1, proc.stderr
     assert "RuntimeError: mass identity off by" in proc.stderr
+
+
+def trace_summary(result):
+    """Everything a trace answers, compared by value and in order."""
+    return (list(result.rank.items()), list(result.ledger.items()),
+            result.dropped_mass, result.iterations, result.termination,
+            result.hub_cap_hits, [e.sort_key() for e in result.subgraph.edges],
+            sorted(result.subgraph.nodes))
+
+
+def loops_and_copies_rows(seed):
+    """``multihop_swap_rows(seed)`` plus a copy of eight of its records,
+    and self-loops: some under a hash of their own, and some inside a
+    swap's hash group with another token."""
+    rng = random.Random(seed)
+    rows = multihop_swap_rows(seed)
+    rows += rng.sample(rows, 8)
+    for k, (src, _, amount, ts, token, h) in enumerate(rng.sample(rows, 6)):
+        rows.append((src, src, amount, ts, token, f"loop{k}"))
+        rows.append((src, src, amount / 2, ts, f"{token}x", h))
+    return rows
+
+
+def test_provider_graph_push_equals_per_account_push():
+    capped_some = False
+    for seed in range(4):
+        for g in (random_txgraph(seed, swap_rate=0.3),
+                  build_graph(multihop_swap_rows(seed)),
+                  build_graph(loops_and_copies_rows(seed))):
+            degrees = sorted(len(g.incident_edges(u)) for u in g.nodes)
+            for hub_cap in (None, degrees[len(degrees) // 2]):
+                params = TraceParams(epsilon=1e-4, hub_cap=hub_cap)
+                for source in (random_path_seed(seed), sorted(g.nodes)[0]):
+                    # No .graph: every account pushes on a graph of its own.
+                    apart = run_expansion(
+                        source, SimpleNamespace(fetch_edges=g.incident_edges),
+                        params)
+                    shared = run_expansion(source, GraphProvider(g), params)
+                    assert trace_summary(shared) == trace_summary(apart)
+                    capped_some |= 0 < len(shared.hub_cap_hits) < len(
+                        shared.rank)
+    assert capped_some
+
+
+def test_uncapped_account_pushes_on_provider_graph():
+    g = build_graph(loops_and_copies_rows(1))
+    hub = max(sorted(g.nodes), key=lambda u: len(g.incident_edges(u)))
+    cap = len(g.incident_edges(hub)) - 1
+    cache = _EdgeCache(GraphProvider(g), hub_cap=cap)
+    assert all(cache.expand(u) is g for u in sorted(g.nodes) if u != hub)
+    assert cache.expand(hub) is not g
+    assert cache.hub_cap_hits == [hub]
+    apart = _EdgeCache(SimpleNamespace(fetch_edges=g.incident_edges))
+    assert apart.expand(hub) is not g
+
+
+def test_traces_sharing_a_provider_equal_fresh_traces(tmp_path):
+    rows = loops_and_copies_rows(2) + [
+        row for seed in (5, 6) for row in multihop_swap_rows(seed)]
+    path = tmp_path / "edges.csv"
+    path.write_text("from,to,value,timeStamp,tokenSymbol,hash\n" + "".join(
+        f"{s},{t},{a!r},{ts},{tok},{h}\n" for s, t, a, ts, tok, h in rows))
+    shared = FileProvider(str(path))
+    nodes = sorted(shared.graph.nodes)
+    runs = [(source, TraceParams(beta=beta, hub_cap=hub_cap, epsilon=1e-4))
+            for source in nodes[:4] for beta in (0.3, 0.7, 1.0)
+            for hub_cap in (None, 6)]
+    random.Random(0).shuffle(runs)
+    for source, params in runs:
+        fresh = run_expansion(source, FileProvider(str(path)), params)
+        again = run_expansion(source, shared, params)
+        assert trace_summary(again) == trace_summary(fresh), (source, params)

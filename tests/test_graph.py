@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_graph, multihop_swap_rows, random_txgraph
+from conftest import build_graph, multihop_swap_rows, pattern, random_txgraph
 from fundtrace.graph import (Pattern, TransactionGraph, TransferEdge,
                              classify_patterns, load_graph, normalize_account,
                              parse_records)
@@ -34,7 +34,7 @@ def test_two_unrelated_records_are_xfer():
     ])
     assert len(g.nodes) == 3
     assert len(g.edges) == 2
-    assert all(g.pattern(e) is Pattern.XFER for e in g.edges)
+    assert all(pattern(g, e) is Pattern.XFER for e in g.edges)
     assert [e.hash for e in g.edges_before("b", math.inf)] == ["h1"]
     assert [e.hash for e in g.out_edges("b")] == ["h2"]
 
@@ -48,15 +48,15 @@ def test_swap_classification_with_counter_tokens():
     ])
     out_leg = g.out_edges("u")[0]
     in_leg = g.edges_before("u", math.inf)[0]
-    assert g.pattern(out_leg) is Pattern.SWAP
+    assert pattern(g, out_leg) is Pattern.SWAP
     assert g.counter_tokens("u", out_leg) == {"ETH"}
-    assert g.pattern(in_leg) is Pattern.SWAP
+    assert pattern(g, in_leg) is Pattern.SWAP
     assert g.counter_tokens("u", in_leg) == {"USDC"}
 
 
 def test_single_edge_is_xfer():
     g = build_graph([("a", "b", 1.0, 1, "T", "h1")])
-    assert g.pattern(g.edges[0]) is Pattern.XFER
+    assert pattern(g, g.edges[0]) is Pattern.XFER
 
 
 def test_same_token_round_trip_is_xfer():
@@ -64,7 +64,7 @@ def test_same_token_round_trip_is_xfer():
         ("u", "v", 5.0, 1, "T1", "h1"),
         ("v", "u", 5.0, 1, "T1", "h1"),
     ])
-    assert all(g.pattern(e) is Pattern.XFER for e in g.edges)
+    assert all(pattern(g, e) is Pattern.XFER for e in g.edges)
 
 
 def test_mixed_token_hash_group_is_swap():
@@ -72,7 +72,7 @@ def test_mixed_token_hash_group_is_swap():
         ("u", "v", 5.0, 1, "T1", "h1"),
         ("v", "u", 3.0, 1, "T2", "h1"),
     ])
-    assert all(g.pattern(e) is Pattern.SWAP for e in g.edges)
+    assert all(pattern(g, e) is Pattern.SWAP for e in g.edges)
 
 
 def test_counter_tokens_decided_per_endpoint():
@@ -84,7 +84,7 @@ def test_counter_tokens_decided_per_endpoint():
     leg = g.out_edges("u")[0]
     assert g.counter_tokens("u", leg) == {"C"}
     assert g.counter_tokens("v", leg) == {"B"}
-    assert g.pattern(leg) is Pattern.SWAP
+    assert pattern(g, leg) is Pattern.SWAP
     assert classify_patterns("u", g.incident_edges("u")) == {
         leg: {"C"}, g.edges_before("u", math.inf)[0]: {"A"}}
 
@@ -478,8 +478,8 @@ def test_classification_idempotent_and_partitioned(seed):
         rng.shuffle(edges)
         assert classify_patterns(u, edges) == tags
     for e in g.edges:
-        assert g.pattern(e) in (Pattern.XFER, Pattern.SWAP)
-        if g.pattern(e) is Pattern.SWAP:
+        assert pattern(g, e) in (Pattern.XFER, Pattern.SWAP)
+        if pattern(g, e) is Pattern.SWAP:
             counters = [g.counter_tokens(u, e) for u in (e.src, e.tgt)]
             assert any(counters)
             assert all(e.token not in c for c in counters)

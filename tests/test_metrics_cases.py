@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import build_graph
 from fundtrace.cases import (CaseSpec, case_records, generate_planted_case)
-from fundtrace.graph import Pattern, TransactionGraph, parse_records
+from fundtrace.graph import TransactionGraph, parse_records
 from fundtrace.metrics import recall, topn_curve, topn_recall, tracing_depth
 
 
@@ -106,15 +106,14 @@ class TestPlantedCases:
         swapped = {e.src for e in case.graph.edges if e.tgt == "dex_0"
                    and case.graph.counter_tokens("dex_0", e)}
         assert intermediates and intermediates <= swapped
-        swap_edges = [e for e in case.graph.edges
-                      if case.graph.pattern(e) is Pattern.SWAP]
+        swap_edges = {e for u in case.graph.nodes
+                      for e in case.graph.swap_legs(u)}
         assert len(swap_edges) >= 2 * len(intermediates)
 
     def test_swap_probability_zero_plants_none(self):
         case = generate_planted_case(CaseSpec(swap_hop_probability=0.0,
                                               seed=4))
-        assert all(case.graph.pattern(e) is not Pattern.SWAP
-                   for e in case.graph.edges)
+        assert not any(case.graph.swap_legs(u) for u in case.graph.nodes)
 
     def test_records_round_trip_through_ingestion(self, caplog):
         caplog.set_level(logging.WARNING, logger="fundtrace")

@@ -65,14 +65,14 @@ def test_init_trace():
 def test_init_traces_independent():
     _, l1 = seeded_trace("a")
     _, l2 = seeded_trace("b")
-    assert l1.node_total("a") == 1.0
-    assert l2.node_total("a") == 0.0
+    assert residuals(l1, "a") == {(SEED_TS, ANY_TOKEN): 1.0}
+    assert residuals(l2, "a") == {}
 
 
-def test_node_total():
+def test_seeded_residuals():
     rank, ledger = seeded_trace("s")
-    assert ledger.node_total("s") == 1.0
-    assert ledger.node_total("absent") == 0.0
+    assert residuals(ledger, "s") == {(SEED_TS, ANY_TOKEN): 1.0}
+    assert residuals(ledger, "absent") == {}
 
 
 def test_single_edge_hand_computation():
@@ -107,7 +107,8 @@ def test_weighted_pollution_splits_by_amount():
     params = TraceParams(alpha=0.15, beta=0.7)
     rank, ledger = seeded_trace("s")
     local_push("s", g, params, rank, ledger)
-    assert ledger.node_total("a") == pytest.approx(3 * ledger.node_total("b"))
+    assert residuals(ledger, "a") == {(5, "T"): pytest.approx(
+        3 * residuals(ledger, "b")[(6, "T")])}
 
 
 def test_temporal_guard_self_accumulates():
@@ -123,7 +124,7 @@ def test_temporal_guard_self_accumulates():
     local_push("u", g, params, rank, ledger)
     # beta share returns to the same key; the in-direction share flows back
     assert residuals(ledger, "u")[(5, "T")] == pytest.approx(0.85 * 0.7)
-    assert ledger.node_total("a") == pytest.approx(0.85 * 0.3)
+    assert residuals(ledger, "a") == pytest.approx({(2, "T"): 0.85 * 0.3})
 
 
 def test_zero_residual_push_is_noop():
@@ -132,7 +133,7 @@ def test_zero_residual_push_is_noop():
     rank, ledger = seeded_trace("s")
     local_push("v", g, params, rank, ledger)
     assert rank == {}
-    assert ledger.node_total("s") == 1.0
+    assert residuals(ledger, "s") == {(SEED_TS, ANY_TOKEN): 1.0}
 
 
 def test_zero_amount_edges_split_equally():
@@ -143,7 +144,8 @@ def test_zero_amount_edges_split_equally():
     params = TraceParams(alpha=0.15, beta=0.7)
     rank, ledger = seeded_trace("s")
     local_push("s", g, params, rank, ledger)
-    assert ledger.node_total("a") == pytest.approx(ledger.node_total("b"))
+    assert residuals(ledger, "a") == {(5, "T"): pytest.approx(
+        residuals(ledger, "b")[(6, "T")])}
     assert total_mass(rank, ledger) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -384,7 +386,8 @@ def test_direction_attention_ratio():
     ledger = ResidualLedger()
     ledger.add("u", 10, "T", 1.0)
     local_push("u", g, params, rank, ledger)
-    ratio = ledger.node_total("b") / ledger.node_total("a")
+    ratio = (sum(residuals(ledger, "b").values())
+             / sum(residuals(ledger, "a").values()))
     assert ratio == pytest.approx(0.7 / 0.3)
 
 
@@ -398,7 +401,7 @@ def test_seed_key_only_pushes_outgoing():
     local_push("s", g, params, rank, ledger)
     # incoming edge gets nothing from the seed key; the (1-beta) share
     # self-returns on the sentinel
-    assert ledger.node_total("a") == 0.0
+    assert residuals(ledger, "a") == {}
     assert residuals(ledger, "s")[(SEED_TS, ANY_TOKEN)] == pytest.approx(0.255)
 
 
